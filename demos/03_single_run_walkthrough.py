@@ -40,7 +40,7 @@ for entry in manifest.tasks:
     )
 
 cfg = EvoConfig(population_size=14, generations=10, seed=4)
-result = run_evolution(tasks, cfg, ProxyConfig(max_iter=150), threads=2)
+result = run_evolution(tasks, cfg, ProxyConfig(max_iter=150))
 
 print("\n=== best validation AUPRC per generation ===")
 header = "gen  " + "  ".join(f"{tr.task_name:>8}" for tr in result.tasks)

@@ -35,8 +35,8 @@ tasks = load_all_tasks(generate_synthetic(synth, workdir / "bench"))
 cfg = EvoConfig(population_size=16, generations=16, seed=3)
 proxy = ProxyConfig(max_iter=150)
 
-with_enm = run_evolution(tasks, cfg, proxy, threads=2)
-without = run_evolution(tasks, replace(cfg, transfer_prob=0.0), proxy, threads=2)
+with_enm = run_evolution(tasks, cfg, proxy)
+without = run_evolution(tasks, replace(cfg, transfer_prob=0.0), proxy)
 
 print("=== best validation AUPRC, with vs without neighborhoods ===")
 print("gen   " + "   ".join(f"{tr.task_name}(on/off)" for tr in with_enm.tasks))

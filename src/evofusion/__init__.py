@@ -21,6 +21,7 @@ from .driver import (
     evaluate_naive_mean,
     predict,
     run_evolution,
+    run_naive_mean,
     select_strategy,
 )
 from .fusion import FusionOverflowError, Standardizer, fit_standardizer, fuse_genotype, fuse_step

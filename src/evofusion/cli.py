@@ -12,7 +12,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import os
 import re
 import sys
 from pathlib import Path
@@ -22,6 +21,7 @@ import numpy as np
 from .data import (
     SynthConfig,
     TaskData,
+    encode_genes,
     generate_synthetic,
     load_all_tasks,
     load_strategy,
@@ -31,21 +31,12 @@ from .data import (
     save_strategy,
     FormatError,
 )
-from .driver import (
-    RunResult,
-    TaskResult,
-    evaluate_naive_mean,
-    predict,
-    run_evolution,
-)
+from .driver import TaskResult, predict, run_evolution, run_naive_mean
 from .metrics import auprc, confusion, fpr, mcc, supplementary_metrics
-from .nsga3 import environmental_selection
 from .operators import EvoConfig
 from .proxy import DECISION_THRESHOLD, ProxyConfig
 
 SUMMARY_KEYS = ("auprc", "mcc", "fpr", "sen", "pre", "spe", "acc")
-
-SELECTORS = {"nsga3": environmental_selection}
 
 
 class CliError(Exception):
@@ -132,7 +123,7 @@ def _write_outputs(out_dir: Path, tasks: list[TaskData], results: list[TaskResul
                             "id": ind.id,
                             "g1": ind.objectives.g1,
                             "g2": ind.objectives.g2,
-                            "genes": [[g.pool_index, g.op, g.w_c, g.w_f] for g in ind.genotype.genes],
+                            "genes": encode_genes(ind.genotype),
                         },
                         sort_keys=True,
                     )
@@ -188,26 +179,9 @@ def cmd_evolve(args) -> int:
         raise CliError(f"cannot load benchmark: {exc}") from exc
     try:
         if args.naive_mean:
-            results = []
-            for task in tasks:
-                ind = evaluate_naive_mean(task, proxy_cfg)
-                if ind.failed:
-                    raise CliError(f"naive mean evaluation failed on task {task.descriptor.name}")
-                results.append(
-                    TaskResult(
-                        task_name=task.descriptor.name,
-                        task_position=task.descriptor.position,
-                        population=None,
-                        pareto=[ind],
-                        strategy=ind,
-                        initial_best=ind.objectives,
-                        history=[],
-                    )
-                )
-            run = RunResult(results)
+            run = run_naive_mean(tasks, proxy_cfg)
         else:
-            selector = SELECTORS[args.selector]
-            run = run_evolution(tasks, evo_cfg, proxy_cfg, threads=args.threads, selector=selector)
+            run = run_evolution(tasks, evo_cfg, proxy_cfg)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     _write_outputs(Path(args.out), tasks, run.tasks)
@@ -233,8 +207,13 @@ def cmd_predict(args) -> int:
     if not pool_dir.is_dir():
         raise CliError(f"pool directory not found: {pool_dir}")
     try:
-        strategy = load_strategy(args.strategy)
+        strategy, pool_size = load_strategy(args.strategy)
         pool = _load_pool_dir(pool_dir)
+        if len(pool) != pool_size:
+            raise CliError(
+                f"strategy was evolved on a pool of {pool_size} entries, "
+                f"but {pool_dir} holds {len(pool)} pool_<k>.fmat files"
+            )
         probs = predict(strategy, pool)
     except FormatError as exc:
         raise CliError(str(exc)) from exc
@@ -290,8 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip evolution; evaluate the equal-weight mean of all pool entries",
     )
-    p_evo.add_argument("--selector", choices=sorted(SELECTORS), default="nsga3")
-    p_evo.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p_evo.add_argument("--threads", type=int, help="ignored; the search runs serially")
     p_evo.set_defaults(func=cmd_evolve)
 
     p_pred = sub.add_parser("predict", help="score a pool directory with a saved strategy")

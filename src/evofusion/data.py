@@ -167,32 +167,48 @@ def write_manifest(manifest: PoolManifest) -> Path:
     return path
 
 
+def _task_entry(name: str, raw) -> TaskEntry:
+    if not isinstance(raw, dict):
+        raise TypeError(f"entry {name!r} must be an object")
+    return TaskEntry(
+        name=name,
+        residues=int(raw["residues"]),
+        feature_dim=int(raw["feature_dim"]),
+        positive_count=int(raw["positive_count"]),
+        pool_files=tuple(raw["pool_files"]),
+        label_file=raw["label_file"],
+        val_ratio=float(raw["val_ratio"]),
+        split_rule=raw.get("split_rule", "tail"),
+        informative_indices=tuple(raw.get("informative_indices", ())),
+    )
+
+
 def read_manifest(root) -> PoolManifest:
+    """Read and validate ``<root>/manifest``. Any malformed content (bad
+    JSON, missing keys, wrong types, inconsistent entries) raises
+    ValueError naming the manifest path."""
     root = Path(root)
     path = root / "manifest"
     if not path.is_file():
         raise ValueError(f"no manifest found under {root}")
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported manifest schema_version {doc.get('schema_version')}")
-    tasks = []
-    for name in doc["tasks"]:
-        raw = doc["entries"][name]
-        tasks.append(
-            TaskEntry(
-                name=name,
-                residues=int(raw["residues"]),
-                feature_dim=int(raw["feature_dim"]),
-                positive_count=int(raw["positive_count"]),
-                pool_files=tuple(raw["pool_files"]),
-                label_file=raw["label_file"],
-                val_ratio=float(raw["val_ratio"]),
-                split_rule=raw.get("split_rule", "tail"),
-                informative_indices=tuple(raw.get("informative_indices", ())),
-            )
-        )
-    manifest = PoolManifest(doc["schema_version"], tuple(tasks), root)
-    _validate_manifest(manifest)
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(doc, dict):
+            raise TypeError("document must be a JSON object")
+        if doc.get("schema_version") != SCHEMA_VERSION:
+            raise ValueError(f"unsupported schema_version {doc.get('schema_version')}")
+        names, entries = doc["tasks"], doc["entries"]
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise TypeError("'tasks' must be a list of task names")
+        if not isinstance(entries, dict):
+            raise TypeError("'entries' must be an object")
+        tasks = tuple(_task_entry(name, entries[name]) for name in names)
+        manifest = PoolManifest(SCHEMA_VERSION, tasks, root)
+        _validate_manifest(manifest)
+    except KeyError as exc:
+        raise ValueError(f"manifest {path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"manifest {path}: {exc}") from exc
     return manifest
 
 
@@ -364,6 +380,16 @@ def generate_synthetic(cfg: SynthConfig, out_dir) -> PoolManifest:
     return manifest
 
 
+def encode_genes(genotype: Genotype) -> list:
+    """JSON form of a genotype: one ``[pool_index, op, w_c, w_f]`` per gene."""
+    return [[g.pool_index, g.op, g.w_c, g.w_f] for g in genotype.genes]
+
+
+def decode_genes(raw) -> Genotype:
+    """Inverse of ``encode_genes``."""
+    return Genotype(tuple(FusionGene(int(k), op, float(wc), float(wf)) for k, op, wc, wf in raw))
+
+
 def save_strategy(path, ind: Individual, task_name: str, feature_dim: int, pool_size: int) -> None:
     """Serialize a selected strategy (genotype plus trained head) as JSON."""
     if ind.objectives is None or ind.proxy is None:
@@ -373,7 +399,7 @@ def save_strategy(path, ind: Individual, task_name: str, feature_dim: int, pool_
         "task": task_name,
         "pool_size": pool_size,
         "feature_dim": feature_dim,
-        "genes": [[g.pool_index, g.op, g.w_c, g.w_f] for g in ind.genotype.genes],
+        "genes": encode_genes(ind.genotype),
         "objectives": [ind.objectives.g1, ind.objectives.g2],
         "coefficients": [float(v) for v in model.coefficients],
         "intercept": float(model.intercept),
@@ -385,9 +411,10 @@ def save_strategy(path, ind: Individual, task_name: str, feature_dim: int, pool_
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def load_strategy(path) -> Individual:
+def load_strategy(path) -> tuple[Individual, int]:
+    """Read a strategy written by ``save_strategy``. Returns the strategy
+    and the pool size of the run that produced it."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    genes = tuple(FusionGene(int(k), op, float(wc), float(wf)) for k, op, wc, wf in doc["genes"])
     model = ProxyModel(
         coefficients=np.asarray(doc["coefficients"], dtype=np.float64),
         intercept=float(doc["intercept"]),
@@ -397,10 +424,11 @@ def load_strategy(path) -> Individual:
         ),
     )
     g1, g2 = doc["objectives"]
-    return Individual(
+    strategy = Individual(
         id=0,
         task=-1,
-        genotype=Genotype(genes),
+        genotype=decode_genes(doc["genes"]),
         objectives=ObjectiveVector(float(g1), float(g2)),
         proxy=model,
     )
+    return strategy, int(doc["pool_size"])

@@ -4,13 +4,12 @@ Each task evolves its own population; once per generation the tasks
 exchange elite genotypes through the neighborhood mechanism and then
 advance independently (offspring generation, batch DE weight
 refinement, evaluation, NSGA-III truncation). Every task owns an rng
-stream spawned from (seed, task position), so serial and threaded
-schedules produce identical results.
+stream spawned from (seed, task position), so a task's results do not
+depend on the order in which the tasks are advanced.
 """
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,6 +104,21 @@ def _pareto_front(pop: TaskPopulation) -> list[Individual]:
     return sorted((pop.members[i] for i in fronts[0]), key=lambda ind: ind.id)
 
 
+def _task_result(
+    pop: TaskPopulation, initial_best: ObjectiveVector, history: list[GenerationStats]
+) -> TaskResult:
+    pareto = _pareto_front(pop)
+    return TaskResult(
+        task_name=pop.task.name,
+        task_position=pop.task.position,
+        population=pop,
+        pareto=pareto,
+        strategy=select_strategy(pareto),
+        initial_best=initial_best,
+        history=history,
+    )
+
+
 def select_strategy(pareto: list[Individual]) -> Individual:
     """Pick the deployment strategy from a Pareto set: lowest g1, then
     lowest g2, then shortest genotype, then lowest id."""
@@ -146,8 +160,24 @@ def evaluate_naive_mean(task: TaskData, proxy_cfg: ProxyConfig) -> Individual:
     return ind
 
 
+def run_naive_mean(tasks: list[TaskData], proxy_cfg: ProxyConfig) -> RunResult:
+    """Evaluate the naive-mean baseline on every task, without evolution.
+
+    Each task's population, Pareto set and strategy are the one naive-mean
+    individual, and its history is empty. Raises ValueError when the
+    evaluation fails on a task.
+    """
+    results = []
+    for task in tasks:
+        ind = evaluate_naive_mean(task, proxy_cfg)
+        if ind.failed:
+            raise ValueError(f"naive mean evaluation failed on task {task.descriptor.name}")
+        results.append(_task_result(TaskPopulation(task.descriptor, [ind]), ind.objectives, []))
+    return RunResult(results)
+
+
 class _TaskState:
-    """Mutable per-task evolution state owned by one worker at a time."""
+    """Mutable per-task evolution state."""
 
     def __init__(self, task: TaskData, cfg: EvoConfig):
         self.task = task
@@ -188,7 +218,6 @@ def _advance_task(
     generation: int,
     cfg: EvoConfig,
     proxy_cfg: ProxyConfig,
-    selector,
 ) -> GenerationStats:
     pop = state.population
     transfers: Counter = Counter()
@@ -206,71 +235,33 @@ def _advance_task(
         state.evaluate(ind, proxy_cfg)
         offspring.append(ind)
     union = pop.members + offspring
-    survivors = selector(union, cfg.population_size, Z, state.rng)
+    survivors = environmental_selection(union, cfg.population_size, Z, state.rng)
     state.population = TaskPopulation(pop.task, survivors)
     return _population_stats(state.population, generation, transfers)
 
 
-def run_evolution(
-    tasks: list[TaskData],
-    cfg: EvoConfig,
-    proxy_cfg: ProxyConfig,
-    threads: int = 1,
-    selector=environmental_selection,
-) -> RunResult:
+def run_evolution(tasks: list[TaskData], cfg: EvoConfig, proxy_cfg: ProxyConfig) -> RunResult:
     """Run the full multi-task search and return per-task results.
 
-    Deterministic given cfg.seed, independent of the thread count:
-    tasks only interact at the generation barrier where neighborhoods
-    are rebuilt from all populations. ``selector`` is the environmental
-    selection hook: any callable (union, N, reference_set, rng) ->
-    survivors can stand in for the NSGA-III default.
+    Deterministic given cfg.seed: tasks only interact at the generation
+    barrier where neighborhoods are rebuilt from all populations.
     """
     _validate_tasks(tasks)
     states = [_TaskState(task, cfg) for task in tasks]
-    workers = max(1, threads)
-
-    def for_each(fn):
-        if workers == 1 or len(states) == 1:
-            return [fn(s) for s in states]
-        with ThreadPoolExecutor(max_workers=min(workers, len(states))) as pool:
-            return list(pool.map(fn, states))
-
-    for_each(lambda s: _init_task(s, cfg, proxy_cfg))
-    initial_best = {
-        s.task.descriptor.position: min(
-            (ind.objectives for ind in s.population.members), key=tuple
-        )
-        for s in states
-    }
+    for state in states:
+        _init_task(state, cfg, proxy_cfg)
+    initial_best = [min((ind.objectives for ind in s.population.members), key=tuple) for s in states]
+    histories: list[list[GenerationStats]] = [[] for _ in states]
     Z = das_dennis(2, cfg.population_size - 1)
-    histories: dict[int, list[GenerationStats]] = {s.task.descriptor.position: [] for s in states}
     use_neighbors = cfg.transfer_prob > 0 and len(tasks) > 1
     for generation in range(1, cfg.generations + 1):
         if use_neighbors:
             nmap = build_neighborhoods([s.population for s in states], cfg)
         else:
             nmap = {s.task.descriptor.position: {} for s in states}
-        stats = for_each(
-            lambda s: _advance_task(
-                s, nmap[s.task.descriptor.position], Z, generation, cfg, proxy_cfg, selector
-            )
-        )
-        for state, stat in zip(states, stats):
-            histories[state.task.descriptor.position].append(stat)
-    results = []
-    for state in states:
-        pos = state.task.descriptor.position
-        pareto = _pareto_front(state.population)
-        results.append(
-            TaskResult(
-                task_name=state.task.descriptor.name,
-                task_position=pos,
-                population=state.population,
-                pareto=pareto,
-                strategy=select_strategy(pareto),
-                initial_best=initial_best[pos],
-                history=histories[pos],
-            )
-        )
-    return RunResult(results)
+        for state, history in zip(states, histories):
+            neighborhood = nmap[state.task.descriptor.position]
+            history.append(_advance_task(state, neighborhood, Z, generation, cfg, proxy_cfg))
+    return RunResult(
+        [_task_result(s.population, best, h) for s, best, h in zip(states, initial_best, histories)]
+    )

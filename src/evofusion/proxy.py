@@ -143,12 +143,8 @@ def fit_focal_logistic(X, y, cfg: ProxyConfig):
     return w, b, losses
 
 
-def train_head(fused_train: np.ndarray, labels_train, cfg: ProxyConfig, rng=None) -> ProxyModel:
-    """Standardize the training rows and fit the focal logistic head.
-
-    Deterministic given its inputs; ``rng`` is accepted for interface
-    uniformity with the variation operators but never consumed.
-    """
+def train_head(fused_train: np.ndarray, labels_train, cfg: ProxyConfig) -> ProxyModel:
+    """Standardize the training rows and fit the focal logistic head."""
     labels_train = np.asarray(labels_train)
     classes = np.unique(labels_train)
     if classes.size < 2:

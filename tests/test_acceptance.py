@@ -220,7 +220,7 @@ def test_criterion_07_synthetic_convergence(tmp_path):
         manifest = generate_synthetic(cfg, tmp_path / "bench7")
         tasks = load_all_tasks(manifest)
         evo = EvoConfig(population_size=20, generations=15, seed=3)
-        result = run_evolution(tasks, evo, ProxyConfig(), threads=2)
+        result = run_evolution(tasks, evo, ProxyConfig())
         for tr in result.tasks:
             best_auprc = 1.0 - min(m.objectives.g1 for m in tr.population.members)
             assert best_auprc >= 0.90, f"{tr.task_name}: best AUPRC {best_auprc:.3f}"
@@ -259,8 +259,8 @@ def test_criterion_08_enm_ablation(tmp_path):
             manifest = generate_synthetic(cfg, tmp_path / f"bench8_{seed}")
             tasks = load_all_tasks(manifest)
             evo = EvoConfig(population_size=16, generations=gmax, seed=seed)
-            on = run_evolution(tasks, evo, proxy, threads=2)
-            off = run_evolution(tasks, replace(evo, transfer_prob=0.0), proxy, threads=2)
+            on = run_evolution(tasks, evo, proxy)
+            off = run_evolution(tasks, replace(evo, transfer_prob=0.0), proxy)
             with_enm.append(_first_reach_mean(on, gmax))
             without_enm.append(_first_reach_mean(off, gmax))
         med_on = float(np.median(with_enm))

@@ -160,6 +160,17 @@ class TestEvolve:
     def test_bad_flag_is_usage_error(self, workspace):
         assert self.evolve(workspace, "runX", "--selector", "hypervolume") == 1
 
+    def test_manifest_without_entries_is_data_error(self, workspace, capsys):
+        manifest = workspace / "bench" / "manifest"
+        doc = json.loads(manifest.read_text())
+        del doc["entries"]
+        manifest.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert self.evolve(workspace, "runM") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert str(manifest) in err and "'entries'" in err
+
 
 class TestPredictEval:
     def slice_validation(self, workspace) -> Path:
@@ -236,6 +247,31 @@ class TestPredictEval:
             ]
         )
         assert code == 2
+
+    def test_pool_size_mismatch_is_data_error(self, workspace, capsys):
+        # strategy from a 3-task run (pool of 5) against a 2-task pool dir (3 files)
+        cfg = write_config(workspace / "run3.json", synthetic={"task_count": 3})
+        assert main(["gen", "--config", str(cfg), "--out", str(workspace / "bench3")]) == 0
+        assert main(
+            ["evolve", "--data", str(workspace / "bench3"), "--config", str(cfg),
+             "--out", str(workspace / "run3"), "--naive-mean"]
+        ) == 0
+        capsys.readouterr()
+        code = main(
+            [
+                "predict",
+                "--strategy",
+                str(workspace / "run3" / "strategy.task_00.out"),
+                "--pool-dir",
+                str(workspace / "bench" / "task_00"),
+                "--out",
+                str(workspace / "p.txt"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "5 entries" in err and "3 pool_<k>.fmat files" in err
 
 
 class TestUsage:

@@ -228,6 +228,36 @@ class TestManifestAndLoad:
         with pytest.raises(ValueError):
             read_manifest(root)
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda doc: doc.pop("entries"),
+            lambda doc: doc.update(entries=[]),
+            lambda doc: doc.update(tasks="task_00"),
+            lambda doc: doc["entries"].update(task_00=[1, 2]),
+            lambda doc: doc["entries"]["task_00"].pop("residues"),
+            lambda doc: doc["entries"]["task_00"].update(residues="forty"),
+            lambda doc: doc["entries"]["task_00"].update(pool_files=7),
+            lambda doc: doc["entries"]["task_00"].update(label_file=None),
+        ],
+        ids=["no-entries", "entries-list", "tasks-string", "entry-list", "no-residues",
+             "residues-text", "pool-files-number", "label-file-null"],
+    )
+    def test_malformed_manifest_names_its_path(self, tmp_path, corrupt):
+        root = self.build(tmp_path)
+        doc = json.loads((root / "manifest").read_text())
+        corrupt(doc)
+        (root / "manifest").write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="manifest") as err:
+            read_manifest(root)
+        assert str(root / "manifest") in str(err.value)
+
+    def test_manifest_not_an_object(self, tmp_path):
+        root = self.build(tmp_path)
+        (root / "manifest").write_text("[1, 2]")
+        with pytest.raises(ValueError, match="JSON object"):
+            read_manifest(root)
+
     def test_label_length_mismatch(self, tmp_path):
         root = self.build(tmp_path)
         write_labels(np.ones(10, dtype=np.int8), root / "task_00" / "labels.txt")

@@ -7,6 +7,7 @@ from evofusion.driver import (
     naive_mean_genotype,
     predict,
     run_evolution,
+    run_naive_mean,
     select_strategy,
 )
 from evofusion.fusion import Standardizer
@@ -69,13 +70,6 @@ class TestRunEvolution:
         a = run_evolution(tasks, cfg, FAST_PROXY)
         b = run_evolution(tasks, cfg, FAST_PROXY)
         assert run_snapshot(a) == run_snapshot(b)
-
-    def test_thread_count_does_not_change_results(self, tmp_path):
-        tasks = small_benchmark(tmp_path)
-        cfg = EvoConfig(population_size=8, generations=4, seed=5)
-        serial = run_evolution(tasks, cfg, FAST_PROXY, threads=1)
-        threaded = run_evolution(tasks, cfg, FAST_PROXY, threads=8)
-        assert run_snapshot(serial) == run_snapshot(threaded)
 
     def test_history_length_and_population_size(self, tmp_path):
         tasks = small_benchmark(tmp_path)
@@ -208,3 +202,18 @@ class TestNaiveMean:
         ind = evaluate_naive_mean(tasks[0], FAST_PROXY)
         assert ind.objectives is not None and not ind.failed
         assert len(ind.genotype) == 5
+
+    def test_run_result_holds_the_one_individual(self, tmp_path):
+        tasks = small_benchmark(tmp_path, noise=1.0)
+        result = run_naive_mean(tasks, FAST_PROXY)
+        for task, tr in zip(tasks, result.tasks):
+            assert tr.population.members == tr.pareto == [tr.strategy]
+            assert tr.population.task == task.descriptor
+            assert tr.initial_best == tr.strategy.objectives
+            assert tr.history == []
+
+    def test_failed_evaluation_raises(self, tmp_path):
+        tasks = small_benchmark(tmp_path, noise=1.0)
+        tasks[1].labels[tasks[1].train_idx] = 0
+        with pytest.raises(ValueError, match="task_01"):
+            run_naive_mean(tasks, FAST_PROXY)
