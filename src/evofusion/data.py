@@ -386,7 +386,16 @@ def encode_genes(genotype: Genotype) -> list:
 
 
 def decode_genes(raw) -> Genotype:
-    """Inverse of ``encode_genes``."""
+    """Inverse of ``encode_genes``. Raises TypeError on any other shape."""
+    if not isinstance(raw, list) or not all(
+        isinstance(gene, list)
+        and len(gene) == 4
+        and isinstance(gene[0], int)
+        and isinstance(gene[1], str)
+        and all(isinstance(w, (int, float)) for w in gene[2:])
+        for gene in raw
+    ):
+        raise TypeError("'genes' must be a list of [pool_index, op, w_c, w_f]")
     return Genotype(tuple(FusionGene(int(k), op, float(wc), float(wf)) for k, op, wc, wf in raw))
 
 
@@ -411,24 +420,41 @@ def save_strategy(path, ind: Individual, task_name: str, feature_dim: int, pool_
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _numbers(doc: dict, key: str) -> np.ndarray:
+    raw = doc[key]
+    if not isinstance(raw, list) or not all(isinstance(v, (int, float)) for v in raw):
+        raise TypeError(f"{key!r} must be a list of numbers")
+    return np.asarray(raw, dtype=np.float64)
+
+
 def load_strategy(path) -> tuple[Individual, int]:
     """Read a strategy written by ``save_strategy``. Returns the strategy
-    and the pool size of the run that produced it."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    model = ProxyModel(
-        coefficients=np.asarray(doc["coefficients"], dtype=np.float64),
-        intercept=float(doc["intercept"]),
-        standardizer=Standardizer(
-            means=np.asarray(doc["standardizer"]["means"], dtype=np.float64),
-            stds=np.asarray(doc["standardizer"]["stds"], dtype=np.float64),
-        ),
-    )
-    g1, g2 = doc["objectives"]
+    and the pool size of the run that produced it. Malformed content (bad
+    JSON, missing keys, wrong types) raises ValueError naming the path."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(doc, dict) or not isinstance(doc["standardizer"], dict):
+            raise TypeError("document and 'standardizer' must be JSON objects")
+        coefficients = _numbers(doc, "coefficients")
+        means = _numbers(doc["standardizer"], "means")
+        stds = _numbers(doc["standardizer"], "stds")
+        objectives = _numbers(doc, "objectives")
+        intercept, pool_size = doc["intercept"], doc["pool_size"]
+        if not isinstance(intercept, (int, float)) or not isinstance(pool_size, int):
+            raise TypeError("'intercept' must be a number and 'pool_size' an integer")
+        if not coefficients.size == means.size == stds.size or objectives.size != 2:
+            raise ValueError("head sizes disagree or 'objectives' is not a pair")
+        genotype = decode_genes(doc["genes"])
+    except KeyError as exc:
+        raise ValueError(f"strategy {path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"strategy {path}: {exc}") from exc
+    model = ProxyModel(coefficients, float(intercept), Standardizer(means=means, stds=stds))
     strategy = Individual(
         id=0,
         task=-1,
-        genotype=decode_genes(doc["genes"]),
-        objectives=ObjectiveVector(float(g1), float(g2)),
+        genotype=genotype,
+        objectives=ObjectiveVector(float(objectives[0]), float(objectives[1])),
         proxy=model,
     )
-    return strategy, int(doc["pool_size"])
+    return strategy, pool_size

@@ -3,6 +3,7 @@ dominance sorting, Das-Dennis reference points, adaptive normalization,
 reference-line association and niche-preserving truncation."""
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import comb
 
@@ -42,28 +43,35 @@ def dominates(a, b) -> bool:
 
 
 def nondominated_sort(objs) -> list[list[int]]:
-    """Partition objective vectors into Pareto fronts (minimization).
+    """Partition 2-D objective vectors into Pareto fronts (minimization).
 
-    Uses the domination-count scheme: front 0 holds everything dominated
-    by nobody; each later front is what becomes undominated once the
-    earlier fronts are removed. Indices within a front are ascending.
+    Front 0 holds everything dominated by nobody; each later front is
+    what becomes undominated once the earlier fronts are removed. Indices
+    within a front are ascending.
+
+    Sweep in O(n log n): visit the points in (g1, g2) order, so every
+    point that can dominate the current one was visited before it. Each
+    front keeps the key (g2, g1) of its last member, which dominates the
+    current point exactly when that key sorts below the point's own.
+    The keys increase from front to front, so a binary search finds the
+    first front whose last member does not dominate the point.
     """
     O = np.asarray([tuple(o) for o in objs], dtype=np.float64)
     if O.ndim != 2 or O.shape[0] < 1:
         raise ValueError("need at least one objective vector")
-    le = (O[:, None, :] <= O[None, :, :]).all(axis=2)
-    lt = (O[:, None, :] < O[None, :, :]).any(axis=2)
-    dom = le & lt  # dom[i, j]: i dominates j
-    counts = dom.sum(axis=0).astype(np.int64)
-    assigned = np.zeros(O.shape[0], dtype=bool)
-    fronts = []
-    front = np.flatnonzero(counts == 0)
-    while front.size:
-        fronts.append([int(i) for i in front])
-        assigned[front] = True
-        counts -= dom[front].sum(axis=0)
-        front = np.flatnonzero((counts == 0) & ~assigned)
-    return fronts
+    if O.shape[1] != 2:
+        raise ValueError("nondominated_sort takes 2 objectives")
+    fronts: list[list[int]] = []
+    last: list[tuple[float, float]] = []
+    for i in np.lexsort((O[:, 1], O[:, 0])).tolist():
+        key = (float(O[i, 1]), float(O[i, 0]))
+        k = bisect_left(last, key)
+        if k == len(fronts):
+            fronts.append([])
+            last.append(key)
+        fronts[k].append(i)
+        last[k] = key
+    return [sorted(front) for front in fronts]
 
 
 def _compositions(total: int, parts: int):

@@ -14,6 +14,12 @@ from .model import Individual, ObjectiveVector
 PROB_EPS = 1.0e-7
 DECISION_THRESHOLD = 0.5
 
+# damped Newton: diagonal added to every system, sufficient-decrease
+# constant and step halvings tried before the fit stops
+NEWTON_JITTER = 1.0e-8
+ARMIJO_C = 1.0e-4
+MAX_HALVINGS = 50
+
 # worst-case objectives assigned when an evaluation cannot complete
 FAILURE_OBJECTIVES = ObjectiveVector(1.0, 1.0)
 
@@ -29,7 +35,6 @@ class ProxyConfig:
     gamma: float = 1.5
     ridge_lambda: float = 0.5
     max_iter: int = 300
-    step_size: float = 0.1
     grad_tol: float = 1.0e-5
 
     def __post_init__(self):
@@ -63,22 +68,51 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def focal_loss(p, y, cfg: ProxyConfig):
-    """Per-sample focal loss.
+def focal_terms(p, y, cfg: ProxyConfig):
+    """Per-sample focal loss and its first two derivatives in the logit z.
 
     loss = -alpha * y * (1-p)^gamma * log(p)
            - (1-alpha) * (1-y) * p^gamma * log(1-p)
 
-    with alpha = cfg.alpha_pos. Probabilities are clipped away from 0/1
-    so the logs stay finite.
+    with alpha = cfg.alpha_pos and p = sigmoid(z), so dp/dz = p(1-p).
+    Probabilities are clipped away from 0/1 so the logs stay finite.
+    Returns (loss, dL/dz, d2L/dz2). The second derivative is negative
+    for confidently wrong samples when gamma > 0, since focal loss is
+    not convex in z.
     """
     p = np.clip(np.asarray(p, dtype=np.float64), PROB_EPS, 1.0 - PROB_EPS)
     y = np.asarray(y, dtype=np.float64)
     a = cfg.alpha_pos
     g = cfg.gamma
-    pos_term = -a * y * (1.0 - p) ** g * np.log(p)
-    neg_term = -(1.0 - a) * (1.0 - y) * p ** g * np.log(1.0 - p)
-    return pos_term + neg_term
+    q = 1.0 - p
+    pg = p ** g
+    qg = q ** g
+    logp = np.log(p)
+    logq = np.log(q)
+    pos = a * y
+    neg = (1.0 - a) * (1.0 - y)
+    loss = -pos * qg * logp - neg * pg * logq
+    dldz = pos * qg * (g * p * logp - q) + neg * pg * (p - g * q * logq)
+    # the negative-class terms mirror the positive ones under z -> -z
+    d2ldz2 = pos * p * qg * (g * logp * (q - g * p) + (2.0 * g + 1.0) * q) + neg * q * pg * (
+        g * logq * (p - g * q) + (2.0 * g + 1.0) * p
+    )
+    return loss, dldz, d2ldz2
+
+
+def focal_loss(p, y, cfg: ProxyConfig):
+    """Per-sample focal loss; see focal_terms."""
+    return focal_terms(p, y, cfg)[0]
+
+
+def _objective(w, b, X, y, cfg: ProxyConfig):
+    """Mean focal loss with ridge penalty on w at (w, b), its gradient, and
+    the per-sample second derivatives in z. Returns (loss, grad_w, grad_b,
+    d2ldz2)."""
+    loss_vec, dldz, d2ldz2 = focal_terms(sigmoid(X @ w + b), y, cfg)
+    loss = float(loss_vec.mean() + 0.5 * cfg.ridge_lambda * float(w @ w))
+    grad_w = X.T @ dldz / X.shape[0] + cfg.ridge_lambda * w
+    return loss, grad_w, float(dldz.mean()), d2ldz2
 
 
 def focal_logistic_loss_and_grad(w, b, X, y, cfg: ProxyConfig):
@@ -87,58 +121,54 @@ def focal_logistic_loss_and_grad(w, b, X, y, cfg: ProxyConfig):
     Returns (loss, grad_w, grad_b). The intercept is unregularized.
     """
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
-    n = X.shape[0]
-    z = X @ w + b
-    p = np.clip(sigmoid(z), PROB_EPS, 1.0 - PROB_EPS)
-    a = cfg.alpha_pos
-    g = cfg.gamma
-    q = 1.0 - p
-    pg = p ** g
-    qg = q ** g
-    logp = np.log(p)
-    logq = np.log(q)
-    loss_vec = -a * y * qg * logp - (1.0 - a) * (1.0 - y) * pg * logq
-    loss = float(loss_vec.mean() + 0.5 * cfg.ridge_lambda * float(w @ w))
-    # d(loss_i)/dz_i, derived from the closed form above with dp/dz = p(1-p)
-    dldz = y * (a * qg * (g * p * logp - q)) + (1.0 - y) * ((1.0 - a) * pg * (p - g * q * logq))
-    grad_w = X.T @ dldz / n + cfg.ridge_lambda * w
-    grad_b = float(dldz.mean())
-    return loss, grad_w, grad_b
+    return _objective(w, b, X, y, cfg)[:3]
 
 
 def fit_focal_logistic(X, y, cfg: ProxyConfig):
-    """Full-batch gradient descent from zero initialization.
+    """Damped Newton from zero initialization.
 
-    Stops at cfg.max_iter or when the gradient infinity-norm drops below
-    cfg.grad_tol. The step is halved (at most 10 times over the run)
-    whenever a proposed step would increase the loss, keeping the loss
-    trace non-increasing. Returns (w, b, losses).
+    Each step solves the (d+1)x(d+1) system on the rows [X, 1]: the
+    Hessian is [X, 1]^T diag(h) [X, 1] / n plus ridge_lambda on the w
+    block, where h is the per-sample curvature in z clipped at 0 (focal
+    loss is not convex in z). NEWTON_JITTER on the diagonal keeps the
+    system solvable when ridge_lambda is 0 and every curvature is
+    clipped. A backtracking line search (Armijo condition) keeps the
+    loss trace non-increasing; the fit stops where no step along the
+    direction lowers the loss.
+
+    Stops after cfg.max_iter Newton steps or when the gradient
+    infinity-norm drops below cfg.grad_tol. Returns (w, b, losses), with
+    one loss per accepted step after the initial one.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    w = np.zeros(X.shape[1], dtype=np.float64)
+    n, d = X.shape
+    A = np.column_stack([X, np.ones(n)])
+    regularizer = np.diag(np.append(np.full(d, cfg.ridge_lambda), 0.0) + NEWTON_JITTER)
+    w = np.zeros(d, dtype=np.float64)
     b = 0.0
-    step = cfg.step_size
-    halvings = 0
-    loss, grad_w, grad_b = focal_logistic_loss_and_grad(w, b, X, y, cfg)
+    loss, grad_w, grad_b, d2ldz2 = _objective(w, b, X, y, cfg)
     losses = [loss]
     for _ in range(cfg.max_iter):
-        if max(float(np.abs(grad_w).max(initial=0.0)), abs(grad_b)) < cfg.grad_tol:
+        grad = np.append(grad_w, grad_b)
+        if float(np.abs(grad).max()) < cfg.grad_tol:
             break
-        while True:
-            w_new = w - step * grad_w
-            b_new = b - step * grad_b
-            new_loss, new_gw, new_gb = focal_logistic_loss_and_grad(w_new, b_new, X, y, cfg)
-            if new_loss <= loss + 1e-12:
+        hessian = (A.T * (np.maximum(d2ldz2, 0.0) / n)) @ A + regularizer
+        step = np.linalg.solve(hessian, grad)
+        slope = float(grad @ step)
+        t = 1.0
+        for _ in range(MAX_HALVINGS):
+            w_new = w - t * step[:d]
+            b_new = b - t * float(step[d])
+            new = _objective(w_new, b_new, X, y, cfg)
+            if new[0] <= loss - ARMIJO_C * t * slope:
                 break
-            if halvings >= 10:
-                return w, b, losses
-            step /= 2.0
-            halvings += 1
-        w, b, loss = w_new, b_new, new_loss
-        grad_w, grad_b = new_gw, new_gb
+            t /= 2.0
+        else:
+            return w, b, losses
+        w, b = w_new, b_new
+        loss, grad_w, grad_b, d2ldz2 = new
         losses.append(loss)
     return w, b, losses
 

@@ -63,6 +63,12 @@ class TestGen:
         assert code == 2
         assert "popsize" in capsys.readouterr().err
 
+    def test_removed_step_size_key_is_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "old.json"
+        cfg.write_text(json.dumps({"proxy": {"step_size": 0.1}}))
+        assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert "'step_size'" in capsys.readouterr().err
+
     def test_unknown_top_level_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"evo": {}}))
@@ -272,6 +278,30 @@ class TestPredictEval:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "5 entries" in err and "3 pool_<k>.fmat files" in err
+
+    @pytest.mark.parametrize("field, value", [("genes", 5), ("coefficients", "x")])
+    def test_mistyped_strategy_field_is_data_error(self, workspace, capsys, field, value):
+        assert TestEvolve().evolve(workspace, "runN", "--naive-mean") == 0
+        strategy = workspace / "runN" / "strategy.task_00.out"
+        doc = json.loads(strategy.read_text())
+        doc[field] = value
+        strategy.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(
+            [
+                "predict",
+                "--strategy",
+                str(strategy),
+                "--pool-dir",
+                str(workspace / "bench" / "task_00"),
+                "--out",
+                str(workspace / "p.txt"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert str(strategy) in err and repr(field) in err
 
 
 class TestUsage:

@@ -13,6 +13,8 @@ from evofusion.proxy import (
     fit_focal_logistic,
     focal_logistic_loss_and_grad,
     focal_loss,
+    focal_terms,
+    sigmoid,
     train_head,
 )
 
@@ -82,7 +84,54 @@ class TestGradient:
             assert num / den < 1e-4
 
 
+class TestCurvature:
+    def test_matches_central_differences_of_dldz(self):
+        cfg = ProxyConfig()
+        z = np.linspace(-6.0, 6.0, 241)
+        h = 1e-5
+        for y in (0, 1):
+            _, _, d2 = focal_terms(sigmoid(z), y, cfg)
+            up = focal_terms(sigmoid(z + h), y, cfg)[1]
+            down = focal_terms(sigmoid(z - h), y, cfg)[1]
+            fd = (up - down) / (2 * h)
+            assert np.allclose(d2, fd, rtol=1e-6, atol=1e-9)
+            # focal loss is not convex in z: confidently wrong samples
+            # curve downwards, and the Newton weight max(d2, 0) drops them
+            negative = fd < 0
+            assert negative.any() and not negative.all()
+            assert (np.maximum(d2, 0.0)[negative] == 0.0).all()
+            assert (d2[~negative] > 0.0).all()
+
+
 class TestTrainer:
+    def test_converges_below_grad_tol(self, rng):
+        cfg = ProxyConfig()
+        for _ in range(50):
+            n = int(rng.integers(5, 200))
+            d = int(rng.integers(1, 16))
+            X = rng.normal(size=(n, d))
+            y = two_class_labels(rng, n)
+            w, b, losses = fit_focal_logistic(X, y, cfg)
+            _, gw, gb = focal_logistic_loss_and_grad(w, b, X, y, cfg)
+            assert max(np.abs(gw).max(), abs(gb)) < cfg.grad_tol
+            assert len(losses) - 1 < cfg.max_iter
+
+    @pytest.mark.parametrize("cfg", [ProxyConfig(ridge_lambda=0.0), ProxyConfig(gamma=0.0)])
+    def test_unregularized_and_gamma_zero_stay_finite(self, rng, cfg):
+        n = 80
+        y = np.array([0, 1] * (n // 2))
+        X = np.column_stack([y * 4.0 + rng.normal(scale=0.2, size=n), rng.normal(size=n)])
+        w, b, losses = fit_focal_logistic(X, y, cfg)
+        assert np.isfinite(w).all() and np.isfinite(b)
+        assert (np.diff(losses) <= 1e-12).all()
+        assert auprc(X @ w + b, y) == 1.0
+
+    def test_max_iter_one_takes_at_most_one_step(self, rng):
+        X = rng.normal(size=(60, 5))
+        y = two_class_labels(rng, 60)
+        _, _, losses = fit_focal_logistic(X, y, ProxyConfig(max_iter=1))
+        assert len(losses) <= 2
+
     def test_loss_trace_non_increasing(self, rng):
         for _ in range(10):
             X = rng.normal(size=(60, 5))
