@@ -4,7 +4,9 @@ Subcommands: ``gen`` (write a synthetic benchmark), ``evolve`` (run the
 search and dump Pareto sets, strategies, histories and a metric
 summary), ``predict`` (score a pool with a saved strategy), ``eval``
 (metrics for a prediction file). Exit codes: 0 success, 1 usage error,
-2 data or format error.
+2 data or format error. Commands raise ValueError or OSError for any
+unreadable or malformed input and any unwritable output; ``main`` alone
+turns those into one ``evofusion: error:`` line and exit 2.
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ import dataclasses
 import json
 import re
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +31,8 @@ from .data import (
     read_fmat,
     read_labels,
     read_manifest,
+    read_predictions,
     save_strategy,
-    FormatError,
 )
 from .driver import TaskResult, predict, run_evolution, run_naive_mean
 from .metrics import auprc, confusion, fpr, mcc, supplementary_metrics
@@ -37,12 +40,6 @@ from .operators import EvoConfig
 from .proxy import DECISION_THRESHOLD, ProxyConfig
 
 SUMMARY_KEYS = ("auprc", "mcc", "fpr", "sen", "pre", "spe", "acc")
-
-
-class CliError(Exception):
-    def __init__(self, message: str, code: int = 2):
-        super().__init__(message)
-        self.code = code
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,38 +51,46 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# JSON values a config field of each annotated type accepts; ints pass as floats
+_JSON_TYPES = {int: (int,), float: (int, float), tuple: (list,), type(None): (type(None),)}
+
+
 def _section(doc: dict, name: str, cls):
     """Build a config dataclass from one document section, rejecting
-    unknown keys."""
+    unknown keys and numbers of the wrong JSON type."""
     raw = doc.get(name, {})
     if not isinstance(raw, dict):
-        raise CliError(f"config section {name!r} must be an object")
-    known = {f.name for f in dataclasses.fields(cls)}
-    for key in raw:
-        if key not in known:
-            raise CliError(f"unknown key {key!r} in config section {name!r}")
+        raise ValueError(f"config section {name!r} must be an object")
+    hints = typing.get_type_hints(cls)
+    for key, value in raw.items():
+        if key not in hints:
+            raise ValueError(f"unknown key {key!r} in config section {name!r}")
+        kinds = typing.get_args(hints[key]) or (hints[key],)
+        allowed = sum((_JSON_TYPES[typing.get_origin(kind) or kind] for kind in kinds), ())
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise ValueError(f"config key {key!r} in section {name!r} has the wrong type")
     kwargs = dict(raw)
-    if cls is SynthConfig and "informative" in kwargs and kwargs["informative"] is not None:
-        kwargs["informative"] = tuple(tuple(int(k) for k in row) for row in kwargs["informative"])
     try:
+        if cls is SynthConfig and kwargs.get("informative") is not None:
+            kwargs["informative"] = tuple(tuple(int(k) for k in row) for row in kwargs["informative"])
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
-        raise CliError(f"invalid value in config section {name!r}: {exc}") from exc
+        raise ValueError(f"invalid value in config section {name!r}: {exc}") from exc
 
 
 def load_run_config(path) -> tuple[EvoConfig, ProxyConfig, SynthConfig]:
-    path = Path(path)
-    if not path.is_file():
-        raise CliError(f"config file not found: {path}")
+    text = Path(path).read_text(encoding="utf-8", errors="replace")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise CliError(f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+        raise ValueError(
+            f"config {path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
     if not isinstance(doc, dict):
-        raise CliError("config document must be a JSON object")
+        raise ValueError(f"config {path}: document must be a JSON object")
     for key in doc:
         if key not in ("evolution", "proxy", "synthetic"):
-            raise CliError(f"unknown key {key!r} at config top level")
+            raise ValueError(f"unknown key {key!r} at config top level")
     return (
         _section(doc, "evolution", EvoConfig),
         _section(doc, "proxy", ProxyConfig),
@@ -100,11 +105,10 @@ def _task_summary_lines(name: str, values: dict[str, float]) -> list[str]:
     return lines
 
 
-def _validation_metrics(task: TaskData, strategy) -> dict[str, float]:
-    probs = predict(strategy, task.pool)[task.val_idx]
-    y_val = task.labels[task.val_idx]
-    counts = confusion(probs, y_val, DECISION_THRESHOLD)
-    values = {"auprc": auprc(probs, y_val), "mcc": mcc(counts), "fpr": fpr(counts)}
+def _metrics(scores: np.ndarray, labels: np.ndarray) -> dict[str, float]:
+    """Every ``SUMMARY_KEYS`` metric of probabilities against 0/1 labels."""
+    counts = confusion(scores, labels, DECISION_THRESHOLD)
+    values = {"auprc": auprc(scores, labels), "mcc": mcc(counts), "fpr": fpr(counts)}
     values.update(supplementary_metrics(counts))
     return values
 
@@ -147,7 +151,8 @@ def _write_outputs(out_dir: Path, tasks: list[TaskData], results: list[TaskResul
                 row = [stat.generation, name, repr(stat.best_g1), repr(stat.best_g2), repr(stat.mean_g1)]
                 row += [stat.transfers.get(task_names.index(n), 0) for n in others]
                 writer.writerow(row)
-        summary_lines += _task_summary_lines(name, _validation_metrics(task, result.strategy))
+        probs = predict(result.strategy, task.pool)[task.val_idx]
+        summary_lines += _task_summary_lines(name, _metrics(probs, task.labels[task.val_idx]))
     (out_dir / "summary.out").write_text("\n".join(summary_lines), encoding="utf-8")
 
 
@@ -172,18 +177,11 @@ def cmd_evolve(args) -> int:
         if args.naive_mean:
             print("warning: --no-enm is redundant with --naive-mean", file=sys.stderr)
         evo_cfg = dataclasses.replace(evo_cfg, transfer_prob=0.0)
-    try:
-        manifest = read_manifest(args.data)
-        tasks = load_all_tasks(manifest)
-    except (ValueError, OSError) as exc:
-        raise CliError(f"cannot load benchmark: {exc}") from exc
-    try:
-        if args.naive_mean:
-            run = run_naive_mean(tasks, proxy_cfg)
-        else:
-            run = run_evolution(tasks, evo_cfg, proxy_cfg)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    tasks = load_all_tasks(read_manifest(args.data))
+    if args.naive_mean:
+        run = run_naive_mean(tasks, proxy_cfg)
+    else:
+        run = run_evolution(tasks, evo_cfg, proxy_cfg)
     _write_outputs(Path(args.out), tasks, run.tasks)
     print(f"results written to {args.out}")
     return 0
@@ -196,54 +194,34 @@ def _load_pool_dir(pool_dir: Path) -> list[np.ndarray]:
         if match:
             entries[int(match.group(1))] = path
     if not entries:
-        raise CliError(f"no pool_<k>.fmat files under {pool_dir}")
+        raise ValueError(f"no pool_<k>.fmat files under {pool_dir}")
     if sorted(entries) != list(range(len(entries))):
-        raise CliError(f"pool indices under {pool_dir} are not contiguous from 0")
+        raise ValueError(f"pool indices under {pool_dir} are not contiguous from 0")
     return [read_fmat(entries[k]) for k in sorted(entries)]
 
 
 def cmd_predict(args) -> int:
-    pool_dir = Path(args.pool_dir)
-    if not pool_dir.is_dir():
-        raise CliError(f"pool directory not found: {pool_dir}")
-    try:
-        strategy, pool_size = load_strategy(args.strategy)
-        pool = _load_pool_dir(pool_dir)
-        if len(pool) != pool_size:
-            raise CliError(
-                f"strategy was evolved on a pool of {pool_size} entries, "
-                f"but {pool_dir} holds {len(pool)} pool_<k>.fmat files"
-            )
-        probs = predict(strategy, pool)
-    except FormatError as exc:
-        raise CliError(str(exc)) from exc
-    except (ValueError, KeyError, OSError) as exc:
-        raise CliError(f"prediction failed: {exc}") from exc
+    strategy, pool_size = load_strategy(args.strategy)
+    pool = _load_pool_dir(Path(args.pool_dir))
+    if len(pool) != pool_size:
+        raise ValueError(
+            f"strategy was evolved on a pool of {pool_size} entries, "
+            f"but {args.pool_dir} holds {len(pool)} pool_<k>.fmat files"
+        )
+    probs = predict(strategy, pool)
     Path(args.out).write_text("".join(f"{float(p)!r}\n" for p in probs), encoding="utf-8")
     print(f"{probs.size} probabilities written to {args.out}")
     return 0
 
 
 def cmd_eval(args) -> int:
-    pred_path = Path(args.pred)
-    if not pred_path.is_file():
-        raise CliError(f"prediction file not found: {pred_path}")
-    lines = [ln for ln in pred_path.read_text(encoding="utf-8").splitlines() if ln.strip()]
-    if not lines:
-        raise CliError(f"prediction file {pred_path} is empty")
-    try:
-        scores = np.array([float(ln) for ln in lines])
-        labels = read_labels(args.labels)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    scores = read_predictions(args.pred)
+    labels = read_labels(args.labels)
     if scores.size != labels.size:
-        raise CliError(f"{scores.size} predictions vs {labels.size} labels")
-    try:
-        counts = confusion(scores, labels, DECISION_THRESHOLD)
-        values = {"auprc": auprc(scores, labels), "mcc": mcc(counts), "fpr": fpr(counts)}
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    values.update(supplementary_metrics(counts))
+        raise ValueError(
+            f"{scores.size} predictions in {args.pred} vs {labels.size} labels in {args.labels}"
+        )
+    values = _metrics(scores, labels)
     for key in SUMMARY_KEYS:
         print(f"{key}: {values[key]!r}")
     return 0
@@ -296,9 +274,9 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except CliError as exc:
+    except (ValueError, OSError) as exc:
         print(f"evofusion: error: {exc}", file=sys.stderr)
-        return exc.code
+        return 2
 
 
 if __name__ == "__main__":

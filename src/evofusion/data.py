@@ -48,10 +48,10 @@ MAX_LABEL_RETRIES = 1000
 
 
 class FormatError(ValueError):
-    """Malformed binary or manifest data; carries the byte offset."""
+    """Malformed FMAT data; names the file and carries the byte offset."""
 
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (at byte offset {offset})")
+    def __init__(self, path, message: str, offset: int):
+        super().__init__(f"FMAT file {path}: {message} (at byte offset {offset})")
         self.offset = offset
 
 
@@ -72,21 +72,25 @@ def write_fmat(m: np.ndarray, path) -> None:
 
 
 def read_fmat(path) -> np.ndarray:
+    """Read an FMAT file; malformed content or a non-finite value raises FormatError."""
     data = Path(path).read_bytes()
     magic = data[: len(FMAT_MAGIC)]
     if magic != FMAT_MAGIC[: len(magic)]:
-        raise FormatError("bad magic bytes", 0)
+        raise FormatError(path, "bad magic bytes", 0)
     if len(data) < FMAT_HEADER_LEN:
-        raise FormatError("truncated header", len(data))
+        raise FormatError(path, "truncated header", len(data))
     rows, cols = struct.unpack_from("<II", data, len(FMAT_MAGIC))
     if rows < 1 or cols < 1:
-        raise FormatError(f"invalid dimensions {rows}x{cols}", len(FMAT_MAGIC))
+        raise FormatError(path, f"invalid dimensions {rows}x{cols}", len(FMAT_MAGIC))
     expected = FMAT_HEADER_LEN + rows * cols * 4
     if len(data) < expected:
-        raise FormatError(f"truncated payload, expected {expected} bytes", len(data))
+        raise FormatError(path, f"truncated payload, expected {expected} bytes", len(data))
     if len(data) > expected:
-        raise FormatError("trailing bytes after payload", expected)
+        raise FormatError(path, "trailing bytes after payload", expected)
     flat = np.frombuffer(data, dtype="<f4", offset=FMAT_HEADER_LEN)
+    finite = np.isfinite(flat)
+    if not finite.all():
+        raise FormatError(path, "non-finite value", FMAT_HEADER_LEN + 4 * int(np.argmin(finite)))
     return flat.reshape(rows, cols).copy()
 
 
@@ -186,11 +190,9 @@ def _task_entry(name: str, raw) -> TaskEntry:
 def read_manifest(root) -> PoolManifest:
     """Read and validate ``<root>/manifest``. Any malformed content (bad
     JSON, missing keys, wrong types, inconsistent entries) raises
-    ValueError naming the manifest path."""
+    ValueError naming the manifest path; a missing one, OSError."""
     root = Path(root)
     path = root / "manifest"
-    if not path.is_file():
-        raise ValueError(f"no manifest found under {root}")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
         if not isinstance(doc, dict):
@@ -221,13 +223,26 @@ def tail_split(residues: int, val_ratio: float) -> tuple[np.ndarray, np.ndarray]
 
 
 def read_labels(path, expected_len: int | None = None) -> np.ndarray:
-    lines = [ln.strip() for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln.strip()]
+    text = Path(path).read_text(encoding="utf-8", errors="replace")
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if any(ln not in ("0", "1") for ln in lines):
         raise ValueError(f"label file {path} must contain one 0/1 per line")
     labels = np.array([int(ln) for ln in lines], dtype=np.int8)
     if expected_len is not None and labels.size != expected_len:
         raise ValueError(f"label file {path} has {labels.size} rows, expected {expected_len}")
     return labels
+
+
+def read_predictions(path) -> np.ndarray:
+    """Read a prediction file: one finite probability per non-blank line."""
+    text = Path(path).read_text(encoding="utf-8", errors="replace")
+    try:
+        scores = np.array([float(ln) for ln in text.splitlines() if ln.strip()])
+    except ValueError as exc:
+        raise ValueError(f"prediction file {path}: {exc}") from exc
+    if not scores.size or not np.isfinite(scores).all():
+        raise ValueError(f"prediction file {path} is empty or holds a non-finite value")
+    return scores
 
 
 def write_labels(labels: np.ndarray, path) -> None:
@@ -430,7 +445,8 @@ def _numbers(doc: dict, key: str) -> np.ndarray:
 def load_strategy(path) -> tuple[Individual, int]:
     """Read a strategy written by ``save_strategy``. Returns the strategy
     and the pool size of the run that produced it. Malformed content (bad
-    JSON, missing keys, wrong types) raises ValueError naming the path."""
+    JSON, missing keys, wrong types, non-finite head values, genes invalid
+    for that pool size) raises ValueError naming the path."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(doc, dict) or not isinstance(doc["standardizer"], dict):
@@ -444,17 +460,19 @@ def load_strategy(path) -> tuple[Individual, int]:
             raise TypeError("'intercept' must be a number and 'pool_size' an integer")
         if not coefficients.size == means.size == stds.size or objectives.size != 2:
             raise ValueError("head sizes disagree or 'objectives' is not a pair")
+        if not np.isfinite(np.r_[coefficients, means, stds, intercept]).all() or (stds <= 0).any():
+            raise ValueError("head values must be finite and 'stds' positive")
         genotype = decode_genes(doc["genes"])
+        genotype.validate(pool_size, pool_size)
+        strategy = Individual(
+            id=0,
+            task=-1,
+            genotype=genotype,
+            objectives=ObjectiveVector(float(objectives[0]), float(objectives[1])),
+            proxy=ProxyModel(coefficients, float(intercept), Standardizer(means=means, stds=stds)),
+        )
     except KeyError as exc:
         raise ValueError(f"strategy {path}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ValueError(f"strategy {path}: {exc}") from exc
-    model = ProxyModel(coefficients, float(intercept), Standardizer(means=means, stds=stds))
-    strategy = Individual(
-        id=0,
-        task=-1,
-        genotype=genotype,
-        objectives=ObjectiveVector(float(objectives[0]), float(objectives[1])),
-        proxy=model,
-    )
     return strategy, pool_size

@@ -27,6 +27,10 @@ if TYPE_CHECKING:
     from .neighborhood import NeighborEntry
 
 GAUSS_SIGMA = 0.1
+# gates of the structure, operator and weight mutations (drawn in that
+# order once mutation fires) and the tournament size of parent selection
+STRUCT_PROB = OP_PROB = WEIGHT_PROB = 0.5
+TOURNAMENT_SIZE = 2
 
 
 @dataclass(frozen=True)
@@ -40,14 +44,10 @@ class EvoConfig:
     generations: int = 40
     crossover_prob: float = 0.9
     mutation_prob: float = 0.6
-    struct_prob: float = 0.5
-    op_prob: float = 0.5
-    weight_prob: float = 0.5
     transfer_prob: float = 0.3
     de_apply_prob: float = 0.5
     de_F: float = 0.5
     de_CR: float = 0.9
-    tournament_size: int = 2
     max_feature_length: int = 25
     elite_fraction: float = 0.2
     neighborhood_size: int | None = None
@@ -58,9 +58,6 @@ class EvoConfig:
         probs = (
             self.crossover_prob,
             self.mutation_prob,
-            self.struct_prob,
-            self.op_prob,
-            self.weight_prob,
             self.transfer_prob,
             self.de_apply_prob,
             self.de_CR,
@@ -70,8 +67,8 @@ class EvoConfig:
             raise ValueError("probabilities must lie in [0, 1]")
         if self.population_size < 4:
             raise ValueError("population_size must be >= 4")
-        if self.tournament_size < 1 or self.max_feature_length < 1:
-            raise ValueError("tournament_size and max_feature_length must be >= 1")
+        if self.max_feature_length < 1:
+            raise ValueError("max_feature_length must be >= 1")
         if self.neighborhood_size is not None and self.neighborhood_size < 1:
             raise ValueError("neighborhood_size must be >= 1")
         if self.grg_rho <= 0:
@@ -261,7 +258,7 @@ def generate_offspring(
     independent gates. Returns the child plus the source task position
     when the second parent was neighborhood-sourced.
     """
-    p1 = tournament(pop, cfg.tournament_size, rng)
+    p1 = tournament(pop, TOURNAMENT_SIZE, rng)
     entries = neighborhood.get(p1.id, [])
     source = None
     if float(rng.random()) < cfg.transfer_prob and entries:
@@ -269,17 +266,17 @@ def generate_offspring(
         p2 = entry.elite.genotype
         source = entry.source_task
     else:
-        p2 = tournament(pop, cfg.tournament_size, rng).genotype
+        p2 = tournament(pop, TOURNAMENT_SIZE, rng).genotype
     child = p1.genotype
     pool_size = pop.task.pool_size
     if float(rng.random()) < cfg.crossover_prob:
         child = crossover(p1.genotype, p2, cfg.max_feature_length, rng)
     if float(rng.random()) < cfg.mutation_prob:
-        if float(rng.random()) < cfg.struct_prob:
+        if float(rng.random()) < STRUCT_PROB:
             child = mutate_structural(child, pool_size, cfg.max_feature_length, rng)
-        if float(rng.random()) < cfg.op_prob:
+        if float(rng.random()) < OP_PROB:
             child = mutate_operator(child, rng)
-        if float(rng.random()) < cfg.weight_prob:
+        if float(rng.random()) < WEIGHT_PROB:
             guides = [e.elite.genotype for e in entries] or None
             child = mutate_weight(child, guides, rng)
     return child, source

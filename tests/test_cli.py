@@ -1,9 +1,16 @@
+import contextlib
 import hashlib
+import io
 import json
+import shutil
+import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evofusion.cli import main
 from evofusion.data import read_fmat, read_manifest, write_fmat
@@ -44,6 +51,29 @@ def parse_summary(path: Path) -> dict[str, dict[str, float]]:
     return blocks
 
 
+def run_cli(*argv) -> tuple[int, str]:
+    """Run ``main`` in-process with stdout discarded; return (exit code, stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def bench(tmp_path_factory):
+    """A small generated benchmark (``bench/``), its one-generation run
+    config (``run.json``) and naive-mean strategies (``runN/``), built once
+    per module. Tests that corrupt a file work on a copy."""
+    root = tmp_path_factory.mktemp("shared")
+    cfg = write_config(root / "run.json", evolution={"population_size": 4, "generations": 1})
+    assert run_cli("gen", "--config", cfg, "--out", root / "bench")[0] == 0
+    code, _ = run_cli(
+        "evolve", "--data", root / "bench", "--config", cfg, "--out", root / "runN", "--naive-mean"
+    )
+    assert code == 0
+    return root
+
+
 @pytest.fixture
 def workspace(tmp_path):
     cfg = write_config(tmp_path / "run.json")
@@ -68,6 +98,26 @@ class TestGen:
         cfg.write_text(json.dumps({"proxy": {"step_size": 0.1}}))
         assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
         assert "'step_size'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["struct_prob", "op_prob", "weight_prob", "tournament_size"])
+    def test_removed_evolution_key_is_rejected(self, tmp_path, key):
+        cfg = tmp_path / "old.json"
+        cfg.write_text(json.dumps({"evolution": {key: 0.5}}))
+        code, err = run_cli("gen", "--config", cfg, "--out", tmp_path / "x")
+        assert code == 2
+        assert f"unknown key {key!r}" in err
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("proxy", "max_iter", 1.0), ("evolution", "seed", "x"), ("evolution", "generations", None),
+         ("synthetic", "feature_dim", 2.5), ("evolution", "neighborhood_size", 1.5),
+         ("proxy", "grad_tol", [1]), ("synthetic", "informative", 3)],
+    )
+    def test_mistyped_config_value_is_data_error(self, tmp_path, section, key, value):
+        cfg = write_config(tmp_path / "typed.json", **{section: {key: value}})
+        code, err = run_cli("gen", "--config", cfg, "--out", tmp_path / "x")
+        assert code == 2
+        assert err.count("\n") == 1 and repr(key) in err
 
     def test_unknown_top_level_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
@@ -313,3 +363,110 @@ class TestUsage:
 
     def test_missing_required_flag(self):
         assert main(["gen", "--out", "/tmp/x"]) == 1
+
+
+def _strategy_with_genes(genes):
+    def case(shared: Path, tmp: Path):
+        doc = json.loads((shared / "runN" / "strategy.task_00.out").read_text())
+        doc["genes"] = genes
+        strategy = tmp / "strategy.json"
+        strategy.write_text(json.dumps(doc))
+        pool_dir = shared / "bench" / "task_00"
+        return ["predict", "--strategy", strategy, "--pool-dir", pool_dir, "--out", tmp / "p.txt"], strategy
+
+    return case
+
+
+def _nan_in_pool(shared: Path, tmp: Path):
+    pool_dir = tmp / "pool"
+    shutil.copytree(shared / "bench" / "task_00", pool_dir)
+    bad = pool_dir / "pool_1.fmat"
+    raw = bytearray(bad.read_bytes())
+    raw[14 + 4 * 7 : 14 + 4 * 8] = struct.pack("<f", float("nan"))
+    bad.write_bytes(bytes(raw))
+    strategy = shared / "runN" / "strategy.task_00.out"
+    return ["predict", "--strategy", strategy, "--pool-dir", pool_dir, "--out", tmp / "p.txt"], bad
+
+
+def _missing_labels(shared: Path, tmp: Path):
+    (tmp / "pred.txt").write_text("0.5\n" * 4)
+    labels = tmp / "nowhere" / "labels.txt"
+    return ["eval", "--pred", tmp / "pred.txt", "--labels", labels], labels
+
+
+def _predict_out(parent_is_file: bool):
+    def case(shared: Path, tmp: Path):
+        if parent_is_file:
+            (tmp / "file").write_text("")
+        out = tmp / ("file" if parent_is_file else "missing") / "p.txt"
+        strategy = shared / "runN" / "strategy.task_00.out"
+        pool_dir = shared / "bench" / "task_00"
+        return ["predict", "--strategy", strategy, "--pool-dir", pool_dir, "--out", out], out
+
+    return case
+
+
+def _evolve_out_under_file(shared: Path, tmp: Path):
+    (tmp / "file").write_text("")
+    out = tmp / "file" / "run"
+    argv = ["evolve", "--data", shared / "bench", "--config", shared / "run.json", "--out", out]
+    return argv, out
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        pytest.param(_strategy_with_genes([[3, "add", 1.0, 1.0]]), id="gene-index-past-pool"),
+        pytest.param(_strategy_with_genes([]), id="no-genes"),
+        pytest.param(_strategy_with_genes([[-1, "add", 1.0, 1.0]]), id="negative-gene-index"),
+        pytest.param(_nan_in_pool, id="nan-in-pool-fmat"),
+        pytest.param(_missing_labels, id="eval-missing-labels"),
+        pytest.param(_predict_out(parent_is_file=False), id="predict-out-missing-parent"),
+        pytest.param(_predict_out(parent_is_file=True), id="predict-out-file-parent"),
+        pytest.param(_evolve_out_under_file, id="evolve-out-file-parent"),
+    ],
+)
+def test_bad_input_or_output_exits_2_naming_the_file(bench, tmp_path, case):
+    argv, offending = case(bench, tmp_path)
+    code, err = run_cli(*argv)
+    assert code == 2
+    assert err.startswith("evofusion: error: ") and err.count("\n") == 1
+    assert str(offending) in err
+
+
+# file to corrupt -> the command that reads it
+CORRUPTIBLE = {
+    "bench/manifest": "evolve",
+    "bench/task_00/pool_1.fmat": "evolve",
+    "bench/task_01/labels.txt": "evolve",
+    "run.json": "evolve",
+    "runN/strategy.task_00.out": "predict",
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(target=st.sampled_from(sorted(CORRUPTIBLE)), data=st.data())
+def test_corrupted_input_exits_0_or_2_without_raising(bench, target, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for name in ("bench", "runN"):
+            shutil.copytree(bench / name, work / name)
+        shutil.copy(bench / "run.json", work / "run.json")
+        path = work / target
+        raw = bytearray(path.read_bytes())
+        if data.draw(st.booleans(), label="truncate"):
+            raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+        else:
+            flips = data.draw(st.lists(st.integers(0, len(raw) - 1), min_size=1, max_size=4), label="at")
+            for i in flips:
+                raw[i] ^= data.draw(st.integers(1, 255), label="xor")
+        path.write_bytes(bytes(raw))
+        if CORRUPTIBLE[target] == "evolve":
+            argv = ["evolve", "--data", work / "bench", "--config", work / "run.json", "--out", work / "out"]
+        else:
+            argv = ["predict", "--strategy", path, "--pool-dir", work / "bench" / "task_00",
+                    "--out", work / "p.txt"]
+        code, err = run_cli(*argv)
+    assert code in (0, 2)
+    if code == 2:
+        assert err.startswith("evofusion: error: ") and err.count("\n") == 1

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +11,13 @@ from evofusion.data import (
     FormatError,
     SynthConfig,
     generate_synthetic,
+    load_strategy,
     load_task,
     read_fmat,
     read_labels,
     read_manifest,
+    read_predictions,
+    save_strategy,
     tail_split,
     write_fmat,
     write_labels,
@@ -86,6 +90,31 @@ class TestFmat:
             read_fmat(path)
         assert err.value.offset == expected_end
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_value_reports_its_offset(self, tmp_path, value):
+        path = tmp_path / "nonfinite.fmat"
+        write_fmat(np.ones((3, 4), dtype=np.float32), path)
+        raw = bytearray(path.read_bytes())
+        raw[14 + 4 * 5 : 14 + 4 * 6] = struct.pack("<f", value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError) as err:
+            read_fmat(path)
+        assert err.value.offset == 14 + 4 * 5
+
+    @pytest.mark.parametrize(
+        "raw",
+        [b"XMAT1\x00" + bytes(12), FMAT_MAGIC + b"\x01", FMAT_MAGIC + bytes(8),
+         FMAT_MAGIC + struct.pack("<II", 1, 2) + bytes(4), FMAT_MAGIC + struct.pack("<II", 1, 1) + bytes(6),
+         FMAT_MAGIC + struct.pack("<II", 1, 1) + struct.pack("<f", float("nan"))],
+        ids=["magic", "header", "dimensions", "payload", "trailing", "non-finite"],
+    )
+    def test_every_format_error_names_the_file(self, tmp_path, raw):
+        path = tmp_path / "bad.fmat"
+        path.write_bytes(raw)
+        with pytest.raises(FormatError, match="byte offset") as err:
+            read_fmat(path)
+        assert str(path) in str(err.value)
+
     def test_rejects_non_finite_on_write(self, tmp_path):
         with pytest.raises(ValueError):
             write_fmat(np.array([[np.inf]]), tmp_path / "inf.fmat")
@@ -114,6 +143,66 @@ class TestLabelsAndSplit:
         (tmp_path / "bad.txt").write_text("0\n2\n")
         with pytest.raises(ValueError):
             read_labels(tmp_path / "bad.txt")
+
+
+    def test_undecodable_label_file_names_its_path(self, tmp_path):
+        (tmp_path / "bad.txt").write_bytes(b"0\n\xff\n")
+        with pytest.raises(ValueError) as err:
+            read_labels(tmp_path / "bad.txt")
+        assert str(tmp_path / "bad.txt") in str(err.value)
+
+
+class TestPredictions:
+    def test_reads_one_score_per_non_blank_line(self, tmp_path):
+        (tmp_path / "p.txt").write_text("0.25\n\n 1.0 \n0\n")
+        assert read_predictions(tmp_path / "p.txt").tolist() == [0.25, 1.0, 0.0]
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "0.5\nabc\n", "0.5\nnan\n", "inf\n"])
+    def test_malformed_file_names_its_path(self, tmp_path, text):
+        (tmp_path / "p.txt").write_text(text)
+        with pytest.raises(ValueError) as err:
+            read_predictions(tmp_path / "p.txt")
+        assert str(tmp_path / "p.txt") in str(err.value)
+
+
+class TestStrategy:
+    @pytest.fixture
+    def saved(self, tmp_path) -> Path:
+        cfg = SynthConfig(task_count=2, residues=40, feature_dim=4, positive_rate=0.1, seed=5)
+        task = load_task(generate_synthetic(cfg, tmp_path / "bench"), 0)
+        ind = Individual(1, 0, make_genotype((2, "add", 1.0, 1.0), (0, "mul", 0.5, 1.5)))
+        evaluate_individual(ind, task, ProxyConfig())
+        save_strategy(tmp_path / "strategy.json", ind, "task_00", 4, 3)
+        return tmp_path / "strategy.json"
+
+    def test_roundtrip(self, saved):
+        strategy, pool_size = load_strategy(saved)
+        assert pool_size == 3
+        assert strategy.genotype == make_genotype((2, "add", 1.0, 1.0), (0, "mul", 0.5, 1.5))
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda doc: doc.update(genes=[[1, "add", 1.0, 1.0], [1, "mul", 1.0, 1.0]]),
+            lambda doc: doc.update(genes=[[1, "pow", 1.0, 1.0]]),
+            lambda doc: doc.update(genes=[[1, "add", 1.0, 2.5]]),
+            lambda doc: doc.update(genes=[[3, "add", 1.0, 1.0]]),
+            lambda doc: doc.update(pool_size=2),
+            lambda doc: doc["standardizer"]["stds"].__setitem__(0, 0.0),
+            lambda doc: doc["coefficients"].__setitem__(0, float("nan")),
+            lambda doc: doc.update(intercept=float("inf")),
+            lambda doc: doc.update(objectives=[1.5, 0.0]),
+        ],
+        ids=["duplicate-index", "unknown-op", "weight-out-of-bounds", "index-past-pool",
+             "pool-too-small", "zero-std", "nan-coefficient", "inf-intercept", "objective-range"],
+    )
+    def test_invalid_strategy_names_its_path(self, saved, corrupt):
+        doc = json.loads(saved.read_text())
+        corrupt(doc)
+        saved.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="strategy") as err:
+            load_strategy(saved)
+        assert str(saved) in str(err.value)
 
 
 class TestGenerator:
