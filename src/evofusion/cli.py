@@ -114,7 +114,6 @@ def _metrics(scores: np.ndarray, labels: np.ndarray) -> dict[str, float]:
 
 
 def _write_outputs(out_dir: Path, tasks: list[TaskData], results: list[TaskResult]) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     task_names = [t.descriptor.name for t in tasks]
     summary_lines: list[str] = []
     for task, result in zip(tasks, results):
@@ -178,16 +177,21 @@ def cmd_evolve(args) -> int:
             print("warning: --no-enm is redundant with --naive-mean", file=sys.stderr)
         evo_cfg = dataclasses.replace(evo_cfg, transfer_prob=0.0)
     tasks = load_all_tasks(read_manifest(args.data))
+    out_dir = Path(args.out)
+    # made before the search, so an unusable --out costs no search time
+    out_dir.mkdir(parents=True, exist_ok=True)
     if args.naive_mean:
         run = run_naive_mean(tasks, proxy_cfg)
     else:
         run = run_evolution(tasks, evo_cfg, proxy_cfg)
-    _write_outputs(Path(args.out), tasks, run.tasks)
+    _write_outputs(out_dir, tasks, run.tasks)
     print(f"results written to {args.out}")
     return 0
 
 
-def _load_pool_dir(pool_dir: Path) -> list[np.ndarray]:
+def _load_pool_dir(pool_dir: Path, columns: int) -> list[np.ndarray]:
+    """Read ``pool_0.fmat`` ... ``pool_<n-1>.fmat``. Every entry must have
+    ``columns`` columns and as many rows as ``pool_0.fmat``."""
     entries = {}
     for path in pool_dir.iterdir():
         match = re.fullmatch(r"pool_(\d+)\.fmat", path.name)
@@ -197,12 +201,20 @@ def _load_pool_dir(pool_dir: Path) -> list[np.ndarray]:
         raise ValueError(f"no pool_<k>.fmat files under {pool_dir}")
     if sorted(entries) != list(range(len(entries))):
         raise ValueError(f"pool indices under {pool_dir} are not contiguous from 0")
-    return [read_fmat(entries[k]) for k in sorted(entries)]
+    pool = []
+    for k in sorted(entries):
+        entry = read_fmat(entries[k])
+        if entry.shape[1] != columns:
+            raise ValueError(f"{entries[k]} has {entry.shape[1]} columns, strategy head expects {columns}")
+        if pool and entry.shape[0] != pool[0].shape[0]:
+            raise ValueError(f"{entries[k]} has {entry.shape[0]} rows, {entries[0]} has {pool[0].shape[0]}")
+        pool.append(entry)
+    return pool
 
 
 def cmd_predict(args) -> int:
     strategy, pool_size = load_strategy(args.strategy)
-    pool = _load_pool_dir(Path(args.pool_dir))
+    pool = _load_pool_dir(Path(args.pool_dir), strategy.proxy.coefficients.shape[0])
     if len(pool) != pool_size:
         raise ValueError(
             f"strategy was evolved on a pool of {pool_size} entries, "

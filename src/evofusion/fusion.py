@@ -39,52 +39,72 @@ def fit_standardizer(train_rows: np.ndarray) -> Standardizer:
     return Standardizer(means, stds)
 
 
+def _fuse_into(
+    acc: np.ndarray, nxt: np.ndarray, scratch: np.ndarray, op: str, w_c: float, w_f: float
+) -> None:
+    """One fusion step in place: ``acc`` becomes op(w_c * acc, w_f * nxt),
+    checked finite and clamped to +-CLAMP_LIMIT.
+
+    ``acc`` and ``scratch`` are float64 buffers of one shape owned by the
+    caller; ``scratch`` is overwritten and ``nxt`` is only read. Every
+    element goes through the float64 operations of that formula in its
+    order, so the result is bit-identical to evaluating it elementwise.
+    """
+    if np.shape(nxt) != acc.shape:
+        raise ValueError(f"shape mismatch {acc.shape} vs {np.shape(nxt)}")
+    np.multiply(acc, w_c, out=acc)
+    # dtype= makes a float32 entry multiply in float64: a Python float is a
+    # weak scalar, so without it NumPy would compute the product in float32.
+    np.multiply(nxt, w_f, out=scratch, dtype=np.float64)
+    if op == "add":
+        np.add(acc, scratch, out=acc)
+    elif op == "mul":
+        np.multiply(acc, scratch, out=acc)
+    elif op == "max":
+        np.maximum(acc, scratch, out=acc)
+    elif op == "min":
+        np.minimum(acc, scratch, out=acc)
+    elif op == "diff":
+        np.subtract(acc, scratch, out=acc)
+    elif op == "avg":
+        np.add(acc, scratch, out=acc)
+        np.divide(acc, 2.0, out=acc)
+    else:
+        raise ValueError(f"unknown operator {op!r}")
+    if not np.isfinite(acc).all():
+        raise FusionOverflowError(f"non-finite values after {op!r} step")
+    np.clip(acc, -CLAMP_LIMIT, CLAMP_LIMIT, out=acc)
+
+
 def fuse_step(acc: np.ndarray, nxt: np.ndarray, op: str, w_c: float, w_f: float) -> np.ndarray:
     """One fusion step: elementwise combine w_c * acc with w_f * nxt.
 
     Supported operators: add, mul, max, min, diff (weighted difference),
-    avg (weighted mean). Output is clamped to +-1e6 and checked finite.
+    avg (weighted mean). Output is a new float64 array, clamped to +-1e6
+    and checked finite; neither argument is modified.
     """
-    a = np.asarray(acc, dtype=np.float64)
-    f = np.asarray(nxt, dtype=np.float64)
-    if a.shape != f.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {f.shape}")
-    a = w_c * a
-    f = w_f * f
-    if op == "add":
-        out = a + f
-    elif op == "mul":
-        out = a * f
-    elif op == "max":
-        out = np.maximum(a, f)
-    elif op == "min":
-        out = np.minimum(a, f)
-    elif op == "diff":
-        out = a - f
-    elif op == "avg":
-        out = (a + f) / 2.0
-    else:
-        raise ValueError(f"unknown operator {op!r}")
-    if not np.isfinite(out).all():
-        raise FusionOverflowError(f"non-finite values after {op!r} step")
-    return np.clip(out, -CLAMP_LIMIT, CLAMP_LIMIT)
+    out = np.array(acc, dtype=np.float64)
+    _fuse_into(out, nxt, np.empty_like(out), op, w_c, w_f)
+    return out
 
 
 def fuse_genotype(g: Genotype, pool: list[np.ndarray]) -> np.ndarray:
     """Left-fold ``fuse_step`` over a genotype's genes.
 
-    The accumulator starts as the first gene's pool entry, unweighted;
-    every following gene combines its entry into the accumulator in gene
-    order. Result has the common L x d pool shape, in float64.
+    The accumulator starts as a float64 copy of the first gene's pool
+    entry, unweighted; every following gene combines its entry into the
+    accumulator in gene order, in place. Result has the common L x d pool
+    shape, in float64. Pool arrays are never modified.
     """
     first = g.genes[0].pool_index
     if first >= len(pool):
         raise IndexError(f"pool index {first} outside pool of {len(pool)} entries")
-    acc = np.asarray(pool[first], dtype=np.float64)
+    acc = np.array(pool[first], dtype=np.float64)
     if not np.isfinite(acc).all():
         raise FusionOverflowError(f"non-finite values in pool entry {first}")
+    scratch = np.empty_like(acc)
     for gene in g.genes[1:]:
         if gene.pool_index >= len(pool):
             raise IndexError(f"pool index {gene.pool_index} outside pool of {len(pool)} entries")
-        acc = fuse_step(acc, pool[gene.pool_index], gene.op, gene.w_c, gene.w_f)
+        _fuse_into(acc, pool[gene.pool_index], scratch, gene.op, gene.w_c, gene.w_f)
     return acc

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import evofusion.cli
 from evofusion.cli import main
 from evofusion.data import read_fmat, read_manifest, write_fmat
 from test_data import tree_digest
@@ -406,6 +407,27 @@ def _predict_out(parent_is_file: bool):
     return case
 
 
+def _pool_dir_with(shapes, bad: int):
+    """A pool dir of zero FMATs of the given (rows, cols) shapes, scored with
+    a naive-mean strategy (head d=6, pool of 3); ``pool_<bad>.fmat`` is the
+    file the error must name."""
+
+    def case(shared: Path, tmp: Path):
+        pool_dir = tmp / "pool"
+        pool_dir.mkdir()
+        for k, shape in enumerate(shapes):
+            write_fmat(np.zeros(shape, dtype=np.float32), pool_dir / f"pool_{k}.fmat")
+        strategy = shared / "runN" / "strategy.task_00.out"
+        argv = ["predict", "--strategy", strategy, "--pool-dir", pool_dir, "--out", tmp / "p.txt"]
+        return argv, pool_dir / f"pool_{bad}.fmat"
+
+    return case
+
+
+def _search_entered(*args, **kwargs):
+    raise AssertionError("the search ran before the bad input or output was found")
+
+
 def _evolve_out_under_file(shared: Path, tmp: Path):
     (tmp / "file").write_text("")
     out = tmp / "file" / "run"
@@ -424,9 +446,13 @@ def _evolve_out_under_file(shared: Path, tmp: Path):
         pytest.param(_predict_out(parent_is_file=False), id="predict-out-missing-parent"),
         pytest.param(_predict_out(parent_is_file=True), id="predict-out-file-parent"),
         pytest.param(_evolve_out_under_file, id="evolve-out-file-parent"),
+        pytest.param(_pool_dir_with([(10, 9)] * 3, bad=0), id="pool-column-count"),
+        pytest.param(_pool_dir_with([(10, 6), (10, 6), (11, 6)], bad=2), id="pool-row-count"),
     ],
 )
-def test_bad_input_or_output_exits_2_naming_the_file(bench, tmp_path, case):
+def test_bad_input_or_output_exits_2_naming_the_file(bench, tmp_path, monkeypatch, case):
+    monkeypatch.setattr(evofusion.cli, "run_evolution", _search_entered)
+    monkeypatch.setattr(evofusion.cli, "run_naive_mean", _search_entered)
     argv, offending = case(bench, tmp_path)
     code, err = run_cli(*argv)
     assert code == 2

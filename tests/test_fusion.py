@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from evofusion.fusion import (
     CLAMP_LIMIT,
@@ -8,16 +11,19 @@ from evofusion.fusion import (
     fuse_genotype,
     fuse_step,
 )
-from evofusion.model import OPERATORS, random_genotype
+from evofusion.model import OPERATORS, WEIGHT_MAX, WEIGHT_MIN, random_genotype
 
 from conftest import make_genotype
 
 
-def manual_step(a, f, op, w_c, w_f):
-    """Independent elementwise oracle for one fusion step."""
+F32_MAX = float(np.finfo(np.float32).max)
+
+
+def manual_combine(a, f, op, w_c, w_f):
+    """Independent elementwise oracle for one fusion step, before the clamp."""
     a = w_c * np.asarray(a, dtype=np.float64)
     f = w_f * np.asarray(f, dtype=np.float64)
-    out = {
+    return {
         "add": a + f,
         "mul": a * f,
         "max": np.maximum(a, f),
@@ -25,7 +31,43 @@ def manual_step(a, f, op, w_c, w_f):
         "diff": a - f,
         "avg": (a + f) / 2.0,
     }[op]
-    return np.clip(out, -CLAMP_LIMIT, CLAMP_LIMIT)
+
+
+def manual_step(a, f, op, w_c, w_f):
+    return np.clip(manual_combine(a, f, op, w_c, w_f), -CLAMP_LIMIT, CLAMP_LIMIT)
+
+
+def reference_fold(g, pool):
+    """Step-by-step float64 oracle for ``fuse_genotype``: the fused array,
+    or None where the first entry or a step result is non-finite."""
+    acc = np.asarray(pool[g.genes[0].pool_index], dtype=np.float64)
+    if not np.isfinite(acc).all():
+        return None
+    for gene in g.genes[1:]:
+        out = manual_combine(acc, pool[gene.pool_index], gene.op, gene.w_c, gene.w_f)
+        if not np.isfinite(out).all():
+            return None
+        acc = np.clip(out, -CLAMP_LIMIT, CLAMP_LIMIT)
+    return acc
+
+
+@st.composite
+def genotypes_over_mixed_pools(draw):
+    """A genotype over a pool of float32 and float64 entries whose values
+    reach the float32 maximum, so products can overflow or round."""
+    rows, cols, size = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    values = st.floats(-F32_MAX, F32_MAX, width=32)
+    pool = [
+        draw(arrays(draw(st.sampled_from([np.float32, np.float64])), (rows, cols), elements=values))
+        for _ in range(size)
+    ]
+    order = draw(st.permutations(range(size)))
+    weights = st.floats(WEIGHT_MIN, WEIGHT_MAX)
+    genes = [
+        (k, draw(st.sampled_from(OPERATORS)), draw(weights), draw(weights))
+        for k in order[: draw(st.integers(1, size))]
+    ]
+    return make_genotype(*genes), pool
 
 
 class TestStandardizer:
@@ -125,6 +167,47 @@ class TestFuseGenotype:
             fuse_genotype(make_genotype(0, 1), pool)
         with pytest.raises(FusionOverflowError):
             fuse_genotype(make_genotype(1, 0), pool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=genotypes_over_mixed_pools())
+def test_fold_is_float64_reference_bit_for_bit_or_overflows(case):
+    g, pool = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = reference_fold(g, pool)
+        if expected is None:
+            with pytest.raises(FusionOverflowError):
+                fuse_genotype(g, pool)
+            return
+        out = fuse_genotype(g, pool)
+    assert out.dtype == np.float64
+    assert out.tobytes() == expected.tobytes()
+    assert np.isfinite(out).all()
+    if len(g) > 1:
+        assert np.abs(out).max() <= CLAMP_LIMIT
+
+
+class TestNoMutation:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fuse_genotype_leaves_pool_unchanged(self, rng, dtype):
+        pool = [rng.uniform(-10, 10, size=(5, 4)).astype(dtype) for _ in range(6)]
+        before = [entry.copy() for entry in pool]
+        genotypes = [make_genotype(2)] + [random_genotype(rng, 6, 6) for _ in range(30)]
+        for g in genotypes:
+            out = fuse_genotype(g, pool)
+            assert not any(np.shares_memory(out, entry) for entry in pool)
+        for entry, copy in zip(pool, before):
+            assert entry.dtype == dtype and np.array_equal(entry, copy)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fuse_step_leaves_arguments_unchanged(self, rng, dtype):
+        for op in OPERATORS:
+            acc = rng.uniform(-10, 10, size=(3, 4)).astype(dtype)
+            nxt = rng.uniform(-10, 10, size=(3, 4)).astype(dtype)
+            acc_before, nxt_before = acc.copy(), nxt.copy()
+            out = fuse_step(acc, nxt, op, 1.3, 0.7)
+            assert np.array_equal(acc, acc_before) and np.array_equal(nxt, nxt_before)
+            assert not np.shares_memory(out, acc) and not np.shares_memory(out, nxt)
 
 
 class TestFusionProperties:

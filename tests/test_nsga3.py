@@ -2,6 +2,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evofusion.model import Individual, ObjectiveVector
 from evofusion.nsga3 import (
@@ -190,6 +192,26 @@ class TestEnvironmentalSelection:
         a = environmental_selection(pop, 12, Z, np.random.default_rng(9))
         b = environmental_selection(pop, 12, Z, np.random.default_rng(9))
         assert [ind.id for ind in a] == [ind.id for ind in b]
+
+
+# a coarse grid makes tied and duplicate objective vectors common
+OBJECTIVE_VALUES = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_selection_returns_n_distinct_and_keeps_a_fitting_first_front(data):
+    pairs = data.draw(st.lists(st.tuples(OBJECTIVE_VALUES, OBJECTIVE_VALUES), min_size=1, max_size=40))
+    N = data.draw(st.integers(1, len(pairs)), label="N")
+    Z = das_dennis(2, data.draw(st.integers(1, 12), label="divisions"))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    out = environmental_selection(individuals(pairs), N, Z, rng)
+    ids = [ind.id for ind in out]
+    assert len(ids) == N and len(set(ids)) == N
+    assert ids == sorted(ids)
+    front0 = peel_fronts(pairs)[0]
+    if len(front0) <= N:
+        assert set(front0) <= set(ids)
 
 
 class TestReferenceSetValidation:
