@@ -95,6 +95,8 @@ def _validate_tasks(tasks: list[TaskData]) -> None:
             raise ValueError(f"task {d.name}: labels must be 0/1")
         if not task.labels[task.val_idx].any():
             raise ValueError(f"task {d.name}: validation split has no positives")
+        if np.unique(task.labels[task.train_idx]).size != 2:
+            raise ValueError(f"task {d.name}: training split needs both classes")
         if np.intersect1d(task.train_idx, task.val_idx).size:
             raise ValueError(f"task {d.name}: train and validation indices overlap")
 
@@ -149,30 +151,22 @@ def naive_mean_genotype(pool_size: int) -> Genotype:
     return Genotype(tuple(genes))
 
 
-def evaluate_naive_mean(task: TaskData, proxy_cfg: ProxyConfig) -> Individual:
-    """Evaluate the fixed all-entries mean baseline on one task."""
-    ind = Individual(
-        id=task.descriptor.position * ID_STRIDE,
-        task=task.descriptor.position,
-        genotype=naive_mean_genotype(task.descriptor.pool_size),
-    )
-    evaluate_individual(ind, task, proxy_cfg)
-    return ind
-
-
 def run_naive_mean(tasks: list[TaskData], proxy_cfg: ProxyConfig) -> RunResult:
     """Evaluate the naive-mean baseline on every task, without evolution.
 
     Each task's population, Pareto set and strategy are the one naive-mean
-    individual, and its history is empty. Raises ValueError when the
-    evaluation fails on a task.
+    individual, and its history is empty. Raises ValueError when a task
+    fails the checks of run_evolution or its evaluation fails.
     """
+    _validate_tasks(tasks)
     results = []
     for task in tasks:
-        ind = evaluate_naive_mean(task, proxy_cfg)
+        d = task.descriptor
+        ind = Individual(d.position * ID_STRIDE, d.position, naive_mean_genotype(d.pool_size))
+        evaluate_individual(ind, task, proxy_cfg)
         if ind.failed:
-            raise ValueError(f"naive mean evaluation failed on task {task.descriptor.name}")
-        results.append(_task_result(TaskPopulation(task.descriptor, [ind]), ind.objectives, []))
+            raise ValueError(f"naive mean evaluation failed on task {d.name}")
+        results.append(_task_result(TaskPopulation(d, [ind]), ind.objectives, []))
     return RunResult(results)
 
 
@@ -252,7 +246,7 @@ def run_evolution(tasks: list[TaskData], cfg: EvoConfig, proxy_cfg: ProxyConfig)
         _init_task(state, cfg, proxy_cfg)
     initial_best = [min((ind.objectives for ind in s.population.members), key=tuple) for s in states]
     histories: list[list[GenerationStats]] = [[] for _ in states]
-    Z = das_dennis(2, cfg.population_size - 1)
+    Z = das_dennis(cfg.population_size - 1)
     use_neighbors = cfg.transfer_prob > 0 and len(tasks) > 1
     for generation in range(1, cfg.generations + 1):
         if use_neighbors:

@@ -76,25 +76,15 @@ def _fuse_into(
     np.clip(acc, -CLAMP_LIMIT, CLAMP_LIMIT, out=acc)
 
 
-def fuse_step(acc: np.ndarray, nxt: np.ndarray, op: str, w_c: float, w_f: float) -> np.ndarray:
-    """One fusion step: elementwise combine w_c * acc with w_f * nxt.
+def fuse_genotype(g: Genotype, pool: list[np.ndarray]) -> np.ndarray:
+    """Left-fold a genotype's genes, one ``_fuse_into`` step per gene.
 
     Supported operators: add, mul, max, min, diff (weighted difference),
-    avg (weighted mean). Output is a new float64 array, clamped to +-1e6
-    and checked finite; neither argument is modified.
-    """
-    out = np.array(acc, dtype=np.float64)
-    _fuse_into(out, nxt, np.empty_like(out), op, w_c, w_f)
-    return out
-
-
-def fuse_genotype(g: Genotype, pool: list[np.ndarray]) -> np.ndarray:
-    """Left-fold ``fuse_step`` over a genotype's genes.
-
-    The accumulator starts as a float64 copy of the first gene's pool
-    entry, unweighted; every following gene combines its entry into the
-    accumulator in gene order, in place. Result has the common L x d pool
-    shape, in float64. Pool arrays are never modified.
+    avg (weighted mean). The accumulator starts as a float64 copy of the
+    first gene's pool entry, unweighted; every following gene combines
+    its entry into the accumulator in gene order, in place. Result has
+    the common L x d pool shape, in float64. Pool arrays are never
+    modified.
     """
     first = g.genes[0].pool_index
     if first >= len(pool):

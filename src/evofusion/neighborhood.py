@@ -26,32 +26,21 @@ class NeighborEntry:
     grade: float
 
 
-def grg(x, y, rho: float) -> float:
-    """Grey relational grade between two equal-length vectors.
+def grg(x, rows, rho: float) -> np.ndarray:
+    """Grey relational grade of vector x against each row of a 2-D array.
 
-    With deviations d_i = |y_i - x_i| and their min/max over dimensions,
+    With deviations d_i = |row_i - x_i| and their min/max over dimensions,
     the per-dimension coefficient is
-    (d_min + rho * d_max) / (d_i + rho * d_max) and the grade is the
-    coefficient mean. Identical vectors grade 1 by convention.
+    (d_min + rho * d_max) / (d_i + rho * d_max) and a row's grade is the
+    coefficient mean. A row identical to x grades 1 by convention.
     """
     x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1 or x.size < 1:
-        raise ValueError("inputs must be equal-length 1-D vectors")
+    rows = np.asarray(rows, dtype=np.float64)
+    if x.ndim != 1 or x.size < 1 or rows.ndim != 2 or rows.shape[1] != x.size:
+        raise ValueError("need a non-empty 1-D vector and rows of its length")
     if rho <= 0:
         raise ValueError("rho must be > 0")
-    delta = np.abs(y - x)
-    d_max = delta.max()
-    if d_max == 0.0:
-        return 1.0
-    d_min = delta.min()
-    zeta = (d_min + rho * d_max) / (delta + rho * d_max)
-    return float(zeta.mean())
-
-
-def _grg_many(x: np.ndarray, others: np.ndarray, rho: float) -> np.ndarray:
-    """Row-wise ``grg`` of x against each row of a 2-D array."""
-    delta = np.abs(others - x)
+    delta = np.abs(rows - x)
     d_max = delta.max(axis=1, keepdims=True)
     d_min = delta.min(axis=1, keepdims=True)
     safe = np.where(d_max > 0.0, d_max, 1.0)
@@ -93,7 +82,7 @@ def build_neighborhoods(pops: list[TaskPopulation], cfg: EvoConfig) -> Neighborh
             matrix = np.stack([vec for _, _, vec in foreign])
             for ind in pop.members:
                 x = vectorize_genotype(ind.genotype, pop.task.pool_size)
-                grades = _grg_many(x, matrix, cfg.grg_rho)
+                grades = grg(x, matrix, cfg.grg_rho)
                 order = sorted(
                     range(len(foreign)),
                     key=lambda i: (-grades[i], foreign[i][1], foreign[i][0].id),

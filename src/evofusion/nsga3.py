@@ -5,13 +5,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
 from .model import Individual
 
 ASF_EPS = 1.0e-6
+INTERCEPT_FLOOR = 1.0e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,15 +31,6 @@ class ReferenceSet:
 
     def __len__(self):
         return self.points.shape[0]
-
-
-def dominates(a, b) -> bool:
-    """Pareto dominance for minimization: a <= b everywhere, < somewhere."""
-    a = tuple(a)
-    b = tuple(b)
-    if len(a) != len(b):
-        raise ValueError("objective dimensions differ")
-    return all(x <= y for x, y in zip(a, b)) and any(x < y for x, y in zip(a, b))
 
 
 def nondominated_sort(objs) -> list[list[int]]:
@@ -74,23 +65,13 @@ def nondominated_sort(objs) -> list[list[int]]:
     return [sorted(front) for front in fronts]
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
-def das_dennis(M: int, p: int) -> ReferenceSet:
-    """All compositions of p into M parts, divided by p: the standard
-    simplex lattice with C(p+M-1, M-1) points."""
-    if M < 2 or p < 1:
-        raise ValueError("need M >= 2 and p >= 1")
-    pts = np.array(sorted(_compositions(p, M)), dtype=np.float64) / p
-    assert pts.shape[0] == comb(p + M - 1, M - 1)
-    return ReferenceSet(pts)
+def das_dennis(p: int) -> ReferenceSet:
+    """The Das-Dennis lattice for two objectives: the p + 1 points
+    (k/p, 1 - k/p), k = 0..p, in ascending first coordinate."""
+    if p < 1:
+        raise ValueError("need p >= 1")
+    k = np.arange(p + 1, dtype=np.float64)
+    return ReferenceSet(np.column_stack((k, p - k)) / p)
 
 
 def normalize(objs) -> np.ndarray:
@@ -100,7 +81,10 @@ def normalize(objs) -> np.ndarray:
     function with weight 1 on the axis and ASF_EPS elsewhere. When the
     intercept system is singular or yields non-positive intercepts, the
     scale falls back to the per-component range, and to 1 where the
-    range is itself zero.
+    range is itself zero. An axis whose intercept is below
+    INTERCEPT_FLOOR times its range also takes the range, so a
+    near-degenerate extreme point cannot blow the normalized objectives
+    up towards overflow.
     """
     O = np.asarray([tuple(o) for o in objs], dtype=np.float64)
     if O.ndim != 2 or O.shape[0] < 1:
@@ -109,17 +93,16 @@ def normalize(objs) -> np.ndarray:
     T = O - O.min(axis=0)
     weights = np.full((M, M), ASF_EPS) + np.eye(M) * (1.0 - ASF_EPS)
     extreme_rows = np.array([np.argmin((T / weights[i]).max(axis=1)) for i in range(M)])
-    scale = None
+    span = T.max(axis=0)
+    scale = span
     E = T[extreme_rows]
     try:
         plane = np.linalg.solve(E, np.ones(M))
         intercepts = 1.0 / plane
         if np.isfinite(intercepts).all() and (intercepts > 0).all():
-            scale = intercepts
+            scale = np.where(intercepts >= INTERCEPT_FLOOR * span, intercepts, span)
     except np.linalg.LinAlgError:
-        scale = None
-    if scale is None:
-        scale = T.max(axis=0)
+        pass
     scale = np.where(scale > 0, scale, 1.0)
     return T / scale
 

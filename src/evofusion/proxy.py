@@ -100,11 +100,6 @@ def focal_terms(p, y, cfg: ProxyConfig):
     return loss, dldz, d2ldz2
 
 
-def focal_loss(p, y, cfg: ProxyConfig):
-    """Per-sample focal loss; see focal_terms."""
-    return focal_terms(p, y, cfg)[0]
-
-
 def _objective(w, b, X, y, cfg: ProxyConfig):
     """Mean focal loss with ridge penalty on w at (w, b), its gradient, and
     the per-sample second derivatives in z. Returns (loss, grad_w, grad_b,

@@ -33,7 +33,7 @@ from evofusion.model import random_genotype
 from evofusion.neighborhood import grg
 from evofusion.nsga3 import das_dennis, nondominated_sort
 from evofusion.operators import EvoConfig
-from evofusion.proxy import ProxyConfig, focal_logistic_loss_and_grad, focal_loss
+from evofusion.proxy import ProxyConfig, focal_logistic_loss_and_grad, focal_terms
 from evofusion.model import Genotype
 
 
@@ -132,10 +132,10 @@ def test_criterion_01_nondominated_sort_oracle():
 def test_criterion_02_reference_point_counts():
     with criterion(2, "Das-Dennis reference point counts"):
         for p in range(1, 61):
-            ref = das_dennis(2, p)
+            ref = das_dennis(p)
             assert len(ref) == p + 1
             assert np.abs(ref.points.sum(axis=1) - 1.0).max() <= 1e-12
-        assert len(das_dennis(2, 49)) == 50
+        assert len(das_dennis(49)) == 50
 
 
 def test_criterion_03_gradient_check():
@@ -174,9 +174,9 @@ def test_criterion_04_metric_oracles():
         # hand values: MCC 1/6, AP 0.5, GRG 0.6, focal 0.85*0.5^1.5*ln 2
         assert abs(mcc(ConfusionCounts(1, 2, 1, 1)) - 1 / 6) < 1e-5
         assert abs(auprc([0.9, 0.8, 0.7], [0, 1, 0]) - 0.5) < 1e-5
-        assert abs(grg([0.0, 0.0], [0.0, 1.0], 0.25) - 0.6) < 1e-5
+        assert abs(grg([0.0, 0.0], [[0.0, 1.0]], 0.25)[0] - 0.6) < 1e-5
         closed_form = 0.85 * 0.5 ** 1.5 * math.log(2)  # 0.208306
-        assert abs(float(focal_loss(0.5, 1, ProxyConfig())) - closed_form) < 1e-5
+        assert abs(float(focal_terms(0.5, 1, ProxyConfig())[0]) - closed_form) < 1e-5
 
 
 def test_criterion_05_grg_properties():
@@ -184,11 +184,11 @@ def test_criterion_05_grg_properties():
         rng = np.random.default_rng(105)
         for _ in range(10_000):
             x = rng.random(8)
-            assert grg(x, x, 0.25) == 1.0
+            assert grg(x, [x], 0.25)[0] == 1.0
         for _ in range(10_000):
             x = rng.random(8)
             y = rng.random(8)
-            assert grg(x, y, 0.25) == pytest.approx(grg(y, x, 0.25), abs=1e-15)
+            assert grg(x, [y], 0.25)[0] == pytest.approx(grg(y, [x], 0.25)[0], abs=1e-15)
         for _ in range(10_000):
             x = rng.random(8)
             y = rng.random(8)
@@ -196,7 +196,7 @@ def test_criterion_05_grg_properties():
             # coefficient then has floor rho/(1+rho) = 0.2
             j = int(rng.integers(8))
             y[j] = x[j]
-            assert grg(x, y, 0.25) >= 0.2
+            assert grg(x, [y], 0.25)[0] >= 0.2
 
 
 def test_criterion_06_fusion_oracle():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import evofusion.cli
 from evofusion.cli import main
-from evofusion.data import read_fmat, read_manifest, write_fmat
+from evofusion.data import read_fmat, read_manifest, tail_split, write_fmat
 from test_data import tree_digest
 
 
@@ -227,6 +227,22 @@ class TestEvolve:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert str(manifest) in err and "'entries'" in err
+
+
+    @pytest.mark.parametrize("flag", [(), ("--naive-mean",)], ids=["evolve", "naive-mean"])
+    def test_single_class_training_split_is_data_error(self, workspace, capsys, flag):
+        entry = read_manifest(workspace / "bench").tasks[1]
+        train_idx, _ = tail_split(entry.residues, entry.val_ratio)
+        labels_file = workspace / "bench" / entry.label_file
+        labels = labels_file.read_text().split()
+        for i in train_idx:
+            labels[i] = "0"
+        labels_file.write_text("\n".join(labels) + "\n")
+        capsys.readouterr()
+        assert self.evolve(workspace, "runS", *flag) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("evofusion: error: task task_01: ") and err.count("\n") == 1
+        assert not list((workspace / "runS").glob("pareto.*"))
 
 
 class TestPredictEval:

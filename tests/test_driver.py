@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from evofusion import driver
 from evofusion.data import SynthConfig, generate_synthetic, load_all_tasks
 from evofusion.driver import (
-    evaluate_naive_mean,
     naive_mean_genotype,
     predict,
     run_evolution,
@@ -123,6 +123,24 @@ class TestRunEvolution:
         with pytest.raises(ValueError):
             run_evolution(tasks, EvoConfig(population_size=8, generations=1, seed=0), FAST_PROXY)
 
+    @pytest.mark.parametrize("label", [0, 1])
+    @pytest.mark.parametrize("run", ["evolution", "naive_mean"])
+    def test_single_class_training_split_fails_before_any_evaluation(
+        self, tmp_path, monkeypatch, label, run
+    ):
+        tasks = small_benchmark(tmp_path)
+        tasks[1].labels[tasks[1].train_idx] = label
+
+        def no_evaluation(*args):
+            raise AssertionError("evaluated an individual before validating the tasks")
+
+        monkeypatch.setattr(driver, "evaluate_individual", no_evaluation)
+        with pytest.raises(ValueError, match="task task_01: training split"):
+            if run == "evolution":
+                run_evolution(tasks, EvoConfig(population_size=8, generations=1, seed=0), FAST_PROXY)
+            else:
+                run_naive_mean(tasks, FAST_PROXY)
+
 
 class TestSelectStrategy:
     def test_singleton(self):
@@ -199,7 +217,7 @@ class TestNaiveMean:
 
     def test_evaluates_cleanly(self, tmp_path):
         tasks = small_benchmark(tmp_path, noise=1.0)
-        ind = evaluate_naive_mean(tasks[0], FAST_PROXY)
+        ind = run_naive_mean(tasks, FAST_PROXY).tasks[0].strategy
         assert ind.objectives is not None and not ind.failed
         assert len(ind.genotype) == 5
 
@@ -214,6 +232,6 @@ class TestNaiveMean:
 
     def test_failed_evaluation_raises(self, tmp_path):
         tasks = small_benchmark(tmp_path, noise=1.0)
-        tasks[1].labels[tasks[1].train_idx] = 0
-        with pytest.raises(ValueError, match="task_01"):
+        tasks[1].pool[0][0, 0] = np.inf  # fusion fails on the first entry
+        with pytest.raises(ValueError, match="evaluation failed on task task_01"):
             run_naive_mean(tasks, FAST_PROXY)

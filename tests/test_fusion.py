@@ -9,7 +9,6 @@ from evofusion.fusion import (
     FusionOverflowError,
     fit_standardizer,
     fuse_genotype,
-    fuse_step,
 )
 from evofusion.model import OPERATORS, WEIGHT_MAX, WEIGHT_MIN, random_genotype
 
@@ -35,6 +34,12 @@ def manual_combine(a, f, op, w_c, w_f):
 
 def manual_step(a, f, op, w_c, w_f):
     return np.clip(manual_combine(a, f, op, w_c, w_f), -CLAMP_LIMIT, CLAMP_LIMIT)
+
+
+def fold_pair(acc, nxt, op, w_c, w_f):
+    """One fusion step, op(w_c * acc, w_f * nxt) clamped, through the
+    library: the fold of a two-gene genotype over the pool [acc, nxt]."""
+    return fuse_genotype(make_genotype(0, (1, op, w_c, w_f)), [acc, nxt])
 
 
 def reference_fold(g, pool):
@@ -96,20 +101,20 @@ class TestStandardizer:
 class TestFuseStep:
     def test_add_identity(self):
         nxt = np.array([[1.0, -2.0], [3.0, 4.0]])
-        out = fuse_step(np.zeros((2, 2)), nxt, "add", 1.0, 1.0)
+        out = fold_pair(np.zeros((2, 2)), nxt, "add", 1.0, 1.0)
         assert np.array_equal(out, nxt)
 
     def test_weighted_diff(self):
-        out = fuse_step(np.array([[3.0]]), np.array([[1.0]]), "diff", 2.0, 1.0)
+        out = fold_pair(np.array([[3.0]]), np.array([[1.0]]), "diff", 2.0, 1.0)
         assert out[0, 0] == 5.0
 
     def test_mul_with_zero(self):
-        out = fuse_step(np.zeros((3, 3)), np.ones((3, 3)), "mul", 1.3, 0.7)
+        out = fold_pair(np.zeros((3, 3)), np.ones((3, 3)), "mul", 1.3, 0.7)
         assert np.array_equal(out, np.zeros((3, 3)))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            fuse_step(np.zeros((2, 2)), np.zeros((2, 3)), "add", 1.0, 1.0)
+            fold_pair(np.zeros((2, 2)), np.zeros((2, 3)), "add", 1.0, 1.0)
 
     def test_all_ops_match_oracle(self, rng):
         for _ in range(60):
@@ -117,11 +122,11 @@ class TestFuseStep:
             f = rng.uniform(-10, 10, size=(4, 5))
             w_c, w_f = rng.uniform(0.1, 2.0, size=2)
             for op in OPERATORS:
-                assert np.array_equal(fuse_step(a, f, op, w_c, w_f), manual_step(a, f, op, w_c, w_f))
+                assert np.array_equal(fold_pair(a, f, op, w_c, w_f), manual_step(a, f, op, w_c, w_f))
 
     def test_clamp(self):
         big = np.full((2, 2), 1e5)
-        out = fuse_step(big, big, "mul", 2.0, 2.0)
+        out = fold_pair(big, big, "mul", 2.0, 2.0)
         assert (out == CLAMP_LIMIT).all()
 
 
@@ -140,8 +145,8 @@ class TestFuseGenotype:
         pool = [rng.normal(size=(6, 3)) for _ in range(6)]
         g = make_genotype((5,), (0, "mul", 1.4, 0.2), (3, "diff", 0.9, 1.8))
         acc = np.asarray(pool[5], dtype=np.float64)
-        acc = fuse_step(acc, pool[0], "mul", 1.4, 0.2)
-        acc = fuse_step(acc, pool[3], "diff", 0.9, 1.8)
+        acc = fold_pair(acc, pool[0], "mul", 1.4, 0.2)
+        acc = fold_pair(acc, pool[3], "diff", 0.9, 1.8)
         assert np.array_equal(fuse_genotype(g, pool), acc)
 
     def test_fold_oracle_100_random_pairs(self, rng):
@@ -205,7 +210,7 @@ class TestNoMutation:
             acc = rng.uniform(-10, 10, size=(3, 4)).astype(dtype)
             nxt = rng.uniform(-10, 10, size=(3, 4)).astype(dtype)
             acc_before, nxt_before = acc.copy(), nxt.copy()
-            out = fuse_step(acc, nxt, op, 1.3, 0.7)
+            out = fold_pair(acc, nxt, op, 1.3, 0.7)
             assert np.array_equal(acc, acc_before) and np.array_equal(nxt, nxt_before)
             assert not np.shares_memory(out, acc) and not np.shares_memory(out, nxt)
 
@@ -217,13 +222,13 @@ class TestFusionProperties:
             f = rng.uniform(-10, 10, size=(3, 3))
             w = float(rng.uniform(0.1, 2.0))
             for op in ("add", "avg"):
-                assert np.array_equal(fuse_step(a, f, op, w, w), fuse_step(f, a, op, w, w))
+                assert np.array_equal(fold_pair(a, f, op, w, w), fold_pair(f, a, op, w, w))
 
     def test_diff_anticommutative_up_to_weight_swap(self, rng):
         for _ in range(50):
             a = rng.uniform(-10, 10, size=(3, 3))
             f = rng.uniform(-10, 10, size=(3, 3))
             w_c, w_f = rng.uniform(0.1, 2.0, size=2)
-            left = fuse_step(a, f, "diff", w_c, w_f)
-            right = -fuse_step(f, a, "diff", w_f, w_c)
+            left = fold_pair(a, f, "diff", w_c, w_f)
+            right = -fold_pair(f, a, "diff", w_f, w_c)
             assert np.array_equal(left, right)

@@ -13,6 +13,12 @@ from evofusion.neighborhood import build_neighborhoods, grg, select_elites
 from evofusion.operators import EvoConfig
 
 from conftest import make_genotype
+from oracles import scalar_grg
+
+
+def grade(x, y, rho=0.25):
+    """The grade of one pair through the row-wise library function."""
+    return float(grg(x, [y], rho)[0])
 
 
 def population(task, genotypes, g1_values=None, pool_size=7):
@@ -28,39 +34,57 @@ def population(task, genotypes, g1_values=None, pool_size=7):
 
 class TestGrg:
     def test_identical_vectors(self):
-        assert grg([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], 0.25) == 1.0
+        assert grade([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 1.0
 
     def test_hand_case(self):
         # deltas {0, 1}: coefficients {1, 0.2}, mean 0.6
-        assert grg([0.0, 0.0], [0.0, 1.0], 0.25) == pytest.approx(0.6)
+        assert grade([0.0, 0.0], [0.0, 1.0]) == pytest.approx(0.6)
 
     def test_symmetry(self, rng):
         for _ in range(100):
             x = rng.random(12)
             y = rng.random(12)
-            assert grg(x, y, 0.25) == pytest.approx(grg(y, x, 0.25), abs=1e-15)
+            assert grade(x, y) == pytest.approx(grade(y, x), abs=1e-15)
 
     def test_range_and_zero_min_bound(self, rng):
         for _ in range(500):
             x = rng.random(8)
             y = rng.random(8)
-            v = grg(x, y, 0.25)
+            v = grade(x, y)
             assert 0.0 < v <= 1.0
             # force a zero deviation somewhere: each coefficient then
             # has floor rho/(1+rho) = 0.2, so the mean clears 0.2
             y2 = y.copy()
             y2[0] = x[0]
-            assert grg(x, y2, 0.25) >= 0.2
+            assert grade(x, y2) >= 0.2
 
     def test_permutation_invariance(self, rng):
         x = rng.random(10)
         y = rng.random(10)
         perm = rng.permutation(10)
-        assert grg(x, y, 0.25) == pytest.approx(grg(x[perm], y[perm], 0.25), abs=1e-15)
+        assert grade(x, y) == pytest.approx(grade(x[perm], y[perm]), abs=1e-15)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            grg([1.0], [1.0, 2.0], 0.25)
+            grg([1.0], [[1.0, 2.0]], 0.25)
+        with pytest.raises(ValueError):
+            grg([1.0, 2.0], [1.0, 2.0], 0.25)
+
+    def test_rho_must_be_positive(self):
+        with pytest.raises(ValueError):
+            grg([1.0, 2.0], [[1.0, 3.0]], 0.0)
+
+    def test_rows_equal_the_scalar_oracle(self, rng):
+        for _ in range(200):
+            d = int(rng.integers(1, 12))
+            x = rng.random(d)
+            rows = rng.random((int(rng.integers(2, 20)), d))
+            rows[0] = x  # one identical row grades exactly 1
+            if d > 1:
+                rows[1, 0] = x[0]  # and one with a zero deviation
+            grades = grg(x, rows, 0.4)
+            assert grades.shape == (rows.shape[0],)
+            assert grades.tolist() == [scalar_grg(x, row, 0.4) for row in rows]
 
 
 class TestSelectElites:
@@ -139,8 +163,8 @@ class TestBuildNeighborhoods:
                 for elite, src in all_elites:
                     if src == t:
                         continue
-                    grade = grg(x, vectorize_genotype(elite.genotype, 5), 0.25)
-                    scored.append((-grade, src, elite.id, elite))
+                    g = scalar_grg(x, vectorize_genotype(elite.genotype, 5), 0.25)
+                    scored.append((-g, src, elite.id, elite))
                 scored.sort(key=lambda item: item[:3])
                 expected = [(item[3].id, -item[0]) for item in scored[:3]]
                 got = [(e.elite.id, e.grade) for e in nmap[t][ind.id]]

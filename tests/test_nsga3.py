@@ -1,5 +1,3 @@
-from math import comb
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,13 +7,13 @@ from evofusion.model import Individual, ObjectiveVector
 from evofusion.nsga3 import (
     ReferenceSet,
     das_dennis,
-    dominates,
     environmental_selection,
     nondominated_sort,
     normalize,
 )
 
 from conftest import make_genotype
+from oracles import dominates
 
 
 def peel_fronts(objs):
@@ -31,6 +29,10 @@ def peel_fronts(objs):
         fronts.append(front)
         remaining = [i for i in remaining if i not in front]
     return fronts
+
+
+# objectives that differ only near the double underflow range
+UNDERFLOW_PAIRS = [(0.0, 0.25), (0.25, 0.0), (5e-324, 1.4e-235)]
 
 
 def individuals(pairs):
@@ -83,23 +85,27 @@ class TestNondominatedSort:
 
 class TestDasDennis:
     def test_two_points(self):
-        ref = das_dennis(2, 1)
+        ref = das_dennis(1)
         assert ref.points.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
     def test_p4_grid(self):
-        ref = das_dennis(2, 4)
+        ref = das_dennis(4)
         expected = [[0.0, 1.0], [0.25, 0.75], [0.5, 0.5], [0.75, 0.25], [1.0, 0.0]]
         assert ref.points.tolist() == expected
 
     def test_count_pairs_population_default(self):
-        assert len(das_dennis(2, 49)) == 50
+        assert len(das_dennis(49)) == 50
 
-    @pytest.mark.parametrize("M", [2, 3])
-    def test_count_formula(self, M):
-        for p in range(1, 26):
-            ref = das_dennis(M, p)
-            assert len(ref) == comb(p + M - 1, M - 1)
+    def test_count_formula(self):
+        for p in range(1, 61):
+            ref = das_dennis(p)
+            assert len(ref) == p + 1
             assert np.abs(ref.points.sum(axis=1) - 1.0).max() <= 1e-12
+            assert ref.points[:, 0].tolist() == [k / p for k in range(p + 1)]
+
+    def test_rejects_zero_divisions(self):
+        with pytest.raises(ValueError):
+            das_dennis(0)
 
 
 class TestNormalize:
@@ -119,11 +125,24 @@ class TestNormalize:
         shifted = objs + np.array([5.0, -2.0])
         assert np.allclose(normalize(objs), normalize(shifted))
 
+    def test_vanishing_intercepts_fall_back_to_range(self):
+        # the third point is the ASF extreme of both axes and lies almost
+        # at the ideal point, so the intercepts are ~1e-307 and ~1e-235
+        out = normalize(UNDERFLOW_PAIRS)
+        assert np.isfinite(out).all() and out.min() >= 0.0 and out.max() <= 1.0
+        assert out[:2].tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
 
 class TestEnvironmentalSelection:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_underflow_objectives_do_not_overflow_distances(self):
+        pop = individuals(UNDERFLOW_PAIRS)
+        out = environmental_selection(pop, 1, das_dennis(1), np.random.default_rng(0))
+        assert len(out) == 1
+
     def test_exact_fit_returns_population_by_id(self, rng):
         pop = individuals([(0.5, 0.1), (0.1, 0.5), (0.3, 0.3)])
-        out = environmental_selection(pop[::-1], 3, das_dennis(2, 2), np.random.default_rng(0))
+        out = environmental_selection(pop[::-1], 3, das_dennis(2), np.random.default_rng(0))
         assert [ind.id for ind in out] == [0, 1, 2]
 
     def test_whole_front_acceptance(self, rng):
@@ -131,7 +150,7 @@ class TestEnvironmentalSelection:
         front0 = [(0.1, 0.5), (0.3, 0.3), (0.5, 0.1)]
         front1 = [(0.6, 0.6), (0.7, 0.55), (0.55, 0.7), (0.8, 0.8), (0.9, 0.75)]
         pop = individuals(front0 + front1)
-        out = environmental_selection(pop, 3, das_dennis(2, 2), np.random.default_rng(1))
+        out = environmental_selection(pop, 3, das_dennis(2), np.random.default_rng(1))
         assert sorted(ind.id for ind in out) == [0, 1, 2]
 
     def test_one_member_per_line_before_seconds(self):
@@ -147,7 +166,7 @@ class TestEnvironmentalSelection:
             (1.00, 0.015),
         ]
         pop = individuals(pairs)
-        Z = das_dennis(2, 3)
+        Z = das_dennis(3)
         out = environmental_selection(pop, 4, Z, np.random.default_rng(3))
         ids = sorted(ind.id for ind in out)
         buckets = [set() for _ in range(4)]
@@ -158,7 +177,7 @@ class TestEnvironmentalSelection:
     def test_requires_enough_individuals(self):
         pop = individuals([(0.5, 0.5)])
         with pytest.raises(ValueError):
-            environmental_selection(pop, 2, das_dennis(2, 1), np.random.default_rng(0))
+            environmental_selection(pop, 2, das_dennis(1), np.random.default_rng(0))
 
     def test_first_front_always_survives_when_it_fits(self, rng):
         for trial in range(20):
@@ -166,7 +185,7 @@ class TestEnvironmentalSelection:
             pop = individuals(pairs)
             fronts = nondominated_sort(pairs)
             N = max(4, len(fronts[0]))
-            out = environmental_selection(pop, N, das_dennis(2, N - 1), np.random.default_rng(trial))
+            out = environmental_selection(pop, N, das_dennis(N - 1), np.random.default_rng(trial))
             chosen = {ind.id for ind in out}
             assert set(fronts[0]).issubset(chosen)
             assert len(out) == N
@@ -174,7 +193,7 @@ class TestEnvironmentalSelection:
     def test_no_selected_dominated_by_earlier_front_discard(self, rng):
         pairs = [tuple(v) for v in rng.random((30, 2))]
         pop = individuals(pairs)
-        out = environmental_selection(pop, 10, das_dennis(2, 9), np.random.default_rng(5))
+        out = environmental_selection(pop, 10, das_dennis(9), np.random.default_rng(5))
         chosen = {ind.id for ind in out}
         discarded = [ind for ind in pop if ind.id not in chosen]
         fronts = nondominated_sort(pairs)
@@ -188,7 +207,7 @@ class TestEnvironmentalSelection:
     def test_deterministic_given_seed(self, rng):
         pairs = [tuple(v) for v in rng.random((40, 2))]
         pop = individuals(pairs)
-        Z = das_dennis(2, 11)
+        Z = das_dennis(11)
         a = environmental_selection(pop, 12, Z, np.random.default_rng(9))
         b = environmental_selection(pop, 12, Z, np.random.default_rng(9))
         assert [ind.id for ind in a] == [ind.id for ind in b]
@@ -198,12 +217,13 @@ class TestEnvironmentalSelection:
 OBJECTIVE_VALUES = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]) | st.floats(0.0, 1.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_selection_returns_n_distinct_and_keeps_a_fitting_first_front(data):
     pairs = data.draw(st.lists(st.tuples(OBJECTIVE_VALUES, OBJECTIVE_VALUES), min_size=1, max_size=40))
     N = data.draw(st.integers(1, len(pairs)), label="N")
-    Z = das_dennis(2, data.draw(st.integers(1, 12), label="divisions"))
+    Z = das_dennis(data.draw(st.integers(1, 12), label="divisions"))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     out = environmental_selection(individuals(pairs), N, Z, rng)
     ids = [ind.id for ind in out]

@@ -12,7 +12,6 @@ from evofusion.proxy import (
     evaluate_individual,
     fit_focal_logistic,
     focal_logistic_loss_and_grad,
-    focal_loss,
     focal_terms,
     sigmoid,
     train_head,
@@ -43,7 +42,7 @@ def two_class_labels(rng, n):
 class TestFocalLoss:
     def test_confident_correct_is_near_zero(self):
         cfg = ProxyConfig()
-        assert focal_loss(1.0 - 1e-9, 1, cfg) < 1e-6
+        assert focal_terms(1.0 - 1e-9, 1, cfg)[0] < 1e-6
 
     def test_gamma_zero_reduces_to_scaled_cross_entropy(self, rng):
         cfg = ProxyConfig(alpha_pos=0.5, alpha_neg=0.5, gamma=0.0)
@@ -51,20 +50,20 @@ class TestFocalLoss:
             p = float(rng.uniform(0.01, 0.99))
             y = int(rng.integers(0, 2))
             bce = -(y * math.log(p) + (1 - y) * math.log(1 - p))
-            assert focal_loss(p, y, cfg) == pytest.approx(0.5 * bce, rel=1e-12)
+            assert focal_terms(p, y, cfg)[0] == pytest.approx(0.5 * bce, rel=1e-12)
 
     def test_hand_value(self):
         cfg = ProxyConfig()  # alpha 0.85, gamma 1.5
         # 0.85 * 0.5^1.5 * ln 2 = 0.2083058 (0.20829 under 4-digit ln 2)
         expected = 0.85 * 0.5 ** 1.5 * math.log(2)
-        assert focal_loss(0.5, 1, cfg) == pytest.approx(expected, abs=1e-5)
-        assert focal_loss(0.5, 1, cfg) == pytest.approx(0.20831, abs=1e-5)
+        assert focal_terms(0.5, 1, cfg)[0] == pytest.approx(expected, abs=1e-5)
+        assert focal_terms(0.5, 1, cfg)[0] == pytest.approx(0.20831, abs=1e-5)
 
     def test_extreme_probabilities_stay_finite(self):
         cfg = ProxyConfig()
-        assert np.isfinite(focal_loss(0.0, 0, cfg))
-        assert np.isfinite(focal_loss(1.0, 1, cfg))
-        assert np.isfinite(focal_loss(0.0, 1, cfg))
+        assert np.isfinite(focal_terms(0.0, 0, cfg)[0])
+        assert np.isfinite(focal_terms(1.0, 1, cfg)[0])
+        assert np.isfinite(focal_terms(0.0, 1, cfg)[0])
 
 
 class TestGradient:
