@@ -233,6 +233,8 @@ def cmd_eval(args) -> int:
         raise ValueError(
             f"{scores.size} predictions in {args.pred} vs {labels.size} labels in {args.labels}"
         )
+    if not labels.any():
+        raise ValueError(f"label file {args.labels} has no positive labels, so AUPRC is undefined")
     values = _metrics(scores, labels)
     for key in SUMMARY_KEYS:
         print(f"{key}: {values[key]!r}")

@@ -91,11 +91,12 @@ def _validate_tasks(tasks: list[TaskData]) -> None:
             raise ValueError(f"task {d.name}: pool rows {shape[0]} != residues {d.residue_count}")
         if task.labels.shape != (d.residue_count,):
             raise ValueError(f"task {d.name}: label length mismatch")
-        if not np.isin(task.labels, (0, 1)).all():
+        if not ((task.labels == 0) | (task.labels == 1)).all():
             raise ValueError(f"task {d.name}: labels must be 0/1")
         if not task.labels[task.val_idx].any():
             raise ValueError(f"task {d.name}: validation split has no positives")
-        if np.unique(task.labels[task.train_idx]).size != 2:
+        train = task.labels[task.train_idx]
+        if not train.any() or train.all():
             raise ValueError(f"task {d.name}: training split needs both classes")
         if np.intersect1d(task.train_idx, task.val_idx).size:
             raise ValueError(f"task {d.name}: train and validation indices overlap")

@@ -33,8 +33,13 @@ def fit_standardizer(train_rows: np.ndarray) -> Standardizer:
     rows = np.asarray(train_rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[0] < 2:
         raise ValueError("standardizer needs at least 2 training rows")
-    means = rows.mean(axis=0)
-    stds = rows.std(axis=0)
+    # the operations ndarray.mean and ndarray.std run, in their order,
+    # without their Python wrappers and the second pass for the mean
+    n = rows.shape[0]
+    means = rows.sum(axis=0) / n
+    squares = rows - means
+    np.multiply(squares, squares, out=squares)
+    stds = np.sqrt(squares.sum(axis=0) / n)
     stds = np.where(stds > 0.0, stds, 1.0)
     return Standardizer(means, stds)
 
@@ -73,7 +78,9 @@ def _fuse_into(
         raise ValueError(f"unknown operator {op!r}")
     if not np.isfinite(acc).all():
         raise FusionOverflowError(f"non-finite values after {op!r} step")
-    np.clip(acc, -CLAMP_LIMIT, CLAMP_LIMIT, out=acc)
+    # np.clip gives the same bits through a slower Python wrapper
+    np.minimum(acc, CLAMP_LIMIT, out=acc)
+    np.maximum(acc, -CLAMP_LIMIT, out=acc)
 
 
 def fuse_genotype(g: Genotype, pool: list[np.ndarray]) -> np.ndarray:

@@ -23,9 +23,9 @@ class ConfusionCounts:
 
 def _check_binary(labels: np.ndarray) -> np.ndarray:
     labels = np.asarray(labels)
-    if not np.isin(labels, (0, 1)).all():
+    if not ((labels == 0) | (labels == 1)).all():
         raise ValueError("labels must be 0/1")
-    return labels.astype(np.int64)
+    return labels.astype(np.int64, copy=False)
 
 
 def confusion(scores, labels, threshold: float) -> ConfusionCounts:

@@ -80,16 +80,15 @@ def build_neighborhoods(pops: list[TaskPopulation], cfg: EvoConfig) -> Neighborh
         task_map: dict[int, list[NeighborEntry]] = {}
         if foreign:
             matrix = np.stack([vec for _, _, vec in foreign])
+            sources = np.array([src for _, src, _ in foreign])
+            ids = np.array([e.id for e, _, _ in foreign])
             for ind in pop.members:
                 x = vectorize_genotype(ind.genotype, pop.task.pool_size)
                 grades = grg(x, matrix, cfg.grg_rho)
-                order = sorted(
-                    range(len(foreign)),
-                    key=lambda i: (-grades[i], foreign[i][1], foreign[i][0].id),
-                )
+                # last key is primary: grade descending, then source, then id
+                order = np.lexsort((ids, sources, -grades))[:k]
                 task_map[ind.id] = [
-                    NeighborEntry(foreign[i][0], foreign[i][1], float(grades[i]))
-                    for i in order[:k]
+                    NeighborEntry(foreign[i][0], foreign[i][1], float(grades[i])) for i in order
                 ]
         else:
             task_map = {ind.id: [] for ind in pop.members}

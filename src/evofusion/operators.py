@@ -186,13 +186,16 @@ def mutate_weight(
     return Genotype(tuple(genes))
 
 
-def _aligned_weight(g: Genotype, pool_index: int, slot: int) -> float:
-    """Weight of the gene selecting pool_index (slot 0 = w_c, 1 = w_f);
-    0.0 when the genotype does not select that entry."""
+_ABSENT = (0.0, 0.0)
+
+
+def _weights_by_index(g: Genotype) -> dict[int, tuple[float, float]]:
+    """(w_c, w_f) of each pool index a genotype selects; the first gene
+    selecting an index wins."""
+    weights: dict[int, tuple[float, float]] = {}
     for gene in g.genes:
-        if gene.pool_index == pool_index:
-            return gene.w_c if slot == 0 else gene.w_f
-    return 0.0
+        weights.setdefault(gene.pool_index, (gene.w_c, gene.w_f))
+    return weights
 
 
 def batch_de(
@@ -214,32 +217,33 @@ def batch_de(
     """
     if len(offspring) < 3:
         return list(offspring)
+    best = _weights_by_index(parent_best)
+    aligned = [_weights_by_index(g) for g in offspring]
+    F = cfg.de_F
     result = []
     for i, geno in enumerate(offspring):
         if float(rng.random()) >= cfg.de_apply_prob:
             result.append(geno)
             continue
-        donors = [j for j in range(len(offspring)) if j != i]
-        picks = rng.choice(len(donors), size=2, replace=False)
-        r1 = offspring[donors[int(picks[0])]]
-        r2 = offspring[donors[int(picks[1])]]
-        dims = [(gi, slot) for gi in range(len(geno.genes)) for slot in (0, 1)]
-        forced = int(rng.integers(len(dims)))
-        cross = rng.random(len(dims))
-        new_weights = []
-        for d, (gi, slot) in enumerate(dims):
-            gene = geno.genes[gi]
-            x = gene.w_c if slot == 0 else gene.w_f
+        # donors are the other offspring: pick p skips over i
+        picks = rng.choice(len(offspring) - 1, size=2, replace=False)
+        r1, r2 = (aligned[p + (p >= i)] for p in (int(picks[0]), int(picks[1])))
+        # dimension 2 * gene + slot, slot 0 = w_c and 1 = w_f
+        forced = int(rng.integers(2 * len(geno.genes)))
+        cross = rng.random(2 * len(geno.genes))
+        genes = []
+        for gi, gene in enumerate(geno.genes):
             k = gene.pool_index
-            v = x + cfg.de_F * (_aligned_weight(parent_best, k, slot) - x)
-            v += cfg.de_F * (_aligned_weight(r1, k, slot) - _aligned_weight(r2, k, slot))
-            take = cross[d] < cfg.de_CR or d == forced
-            new_weights.append(_clip_weight(v) if take else x)
-        genes = tuple(
-            FusionGene(gene.pool_index, gene.op, new_weights[2 * gi], new_weights[2 * gi + 1])
-            for gi, gene in enumerate(geno.genes)
-        )
-        result.append(Genotype(genes))
+            b, a1, a2 = best.get(k, _ABSENT), r1.get(k, _ABSENT), r2.get(k, _ABSENT)
+            w = [gene.w_c, gene.w_f]
+            for slot in (0, 1):
+                d = 2 * gi + slot
+                if cross[d] < cfg.de_CR or d == forced:
+                    v = w[slot] + F * (b[slot] - w[slot])
+                    v += F * (a1[slot] - a2[slot])
+                    w[slot] = _clip_weight(v)
+            genes.append(FusionGene(k, gene.op, w[0], w[1]))
+        result.append(Genotype(tuple(genes)))
     return result
 
 

@@ -59,13 +59,14 @@ class ProxyModel:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function without overflow: exp only ever sees -|z|, and
+    the z >= 0 and z < 0 branches are 1 / (1 + e) and e / (1 + e).
+    np.minimum returns its first argument when both are NaN, so a NaN
+    keeps its sign bit through exp."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(np.minimum(z, -z))
+    den = 1.0 + e
+    return np.where(z >= 0, 1.0 / den, e / den)
 
 
 def focal_terms(p, y, cfg: ProxyConfig):
@@ -80,7 +81,8 @@ def focal_terms(p, y, cfg: ProxyConfig):
     for confidently wrong samples when gamma > 0, since focal loss is
     not convex in z.
     """
-    p = np.clip(np.asarray(p, dtype=np.float64), PROB_EPS, 1.0 - PROB_EPS)
+    # np.clip gives the same bits through a slower Python wrapper
+    p = np.minimum(np.maximum(np.asarray(p, dtype=np.float64), PROB_EPS), 1.0 - PROB_EPS)
     y = np.asarray(y, dtype=np.float64)
     a = cfg.alpha_pos
     g = cfg.gamma
@@ -91,11 +93,15 @@ def focal_terms(p, y, cfg: ProxyConfig):
     logq = np.log(q)
     pos = a * y
     neg = (1.0 - a) * (1.0 - y)
-    loss = -pos * qg * logp - neg * pg * logq
-    dldz = pos * qg * (g * p * logp - q) + neg * pg * (p - g * q * logq)
+    pos_qg = pos * qg
+    neg_pg = neg * pg
+    gp = g * p
+    gq = g * q
+    loss = -pos_qg * logp - neg_pg * logq
+    dldz = pos_qg * (gp * logp - q) + neg_pg * (p - gq * logq)
     # the negative-class terms mirror the positive ones under z -> -z
-    d2ldz2 = pos * p * qg * (g * logp * (q - g * p) + (2.0 * g + 1.0) * q) + neg * q * pg * (
-        g * logq * (p - g * q) + (2.0 * g + 1.0) * p
+    d2ldz2 = pos * p * qg * (g * logp * (q - gp) + (2.0 * g + 1.0) * q) + neg * q * pg * (
+        g * logq * (p - gq) + (2.0 * g + 1.0) * p
     )
     return loss, dldz, d2ldz2
 
@@ -104,10 +110,12 @@ def _objective(w, b, X, y, cfg: ProxyConfig):
     """Mean focal loss with ridge penalty on w at (w, b), its gradient, and
     the per-sample second derivatives in z. Returns (loss, grad_w, grad_b,
     d2ldz2)."""
+    n = X.shape[0]
     loss_vec, dldz, d2ldz2 = focal_terms(sigmoid(X @ w + b), y, cfg)
-    loss = float(loss_vec.mean() + 0.5 * cfg.ridge_lambda * float(w @ w))
-    grad_w = X.T @ dldz / X.shape[0] + cfg.ridge_lambda * w
-    return loss, grad_w, float(dldz.mean()), d2ldz2
+    # sum / n is what ndarray.mean computes, without its Python wrapper
+    loss = float(loss_vec.sum() / n + 0.5 * cfg.ridge_lambda * float(w @ w))
+    grad_w = X.T @ dldz / n + cfg.ridge_lambda * w
+    return loss, grad_w, float(dldz.sum() / n), d2ldz2
 
 
 def focal_logistic_loss_and_grad(w, b, X, y, cfg: ProxyConfig):
@@ -146,7 +154,7 @@ def fit_focal_logistic(X, y, cfg: ProxyConfig):
     loss, grad_w, grad_b, d2ldz2 = _objective(w, b, X, y, cfg)
     losses = [loss]
     for _ in range(cfg.max_iter):
-        grad = np.append(grad_w, grad_b)
+        grad = np.concatenate((grad_w, [grad_b]))
         if float(np.abs(grad).max()) < cfg.grad_tol:
             break
         hessian = (A.T * (np.maximum(d2ldz2, 0.0) / n)) @ A + regularizer
@@ -169,10 +177,10 @@ def fit_focal_logistic(X, y, cfg: ProxyConfig):
 
 
 def train_head(fused_train: np.ndarray, labels_train, cfg: ProxyConfig) -> ProxyModel:
-    """Standardize the training rows and fit the focal logistic head."""
+    """Standardize the training rows and fit the focal logistic head.
+    Raises DegenerateTaskError unless the 0/1 labels hold both classes."""
     labels_train = np.asarray(labels_train)
-    classes = np.unique(labels_train)
-    if classes.size < 2:
+    if not labels_train.any() or labels_train.all():
         raise DegenerateTaskError("training labels contain a single class")
     standardizer = fit_standardizer(fused_train)
     X = standardizer.transform(fused_train)

@@ -411,6 +411,13 @@ def _missing_labels(shared: Path, tmp: Path):
     return ["eval", "--pred", tmp / "pred.txt", "--labels", labels], labels
 
 
+def _labels_without_positives(shared: Path, tmp: Path):
+    (tmp / "pred.txt").write_text("0.5\n" * 4)
+    labels = tmp / "labels.txt"
+    labels.write_text("0\n" * 4)
+    return ["eval", "--pred", tmp / "pred.txt", "--labels", labels], labels
+
+
 def _predict_out(parent_is_file: bool):
     def case(shared: Path, tmp: Path):
         if parent_is_file:
@@ -459,6 +466,7 @@ def _evolve_out_under_file(shared: Path, tmp: Path):
         pytest.param(_strategy_with_genes([[-1, "add", 1.0, 1.0]]), id="negative-gene-index"),
         pytest.param(_nan_in_pool, id="nan-in-pool-fmat"),
         pytest.param(_missing_labels, id="eval-missing-labels"),
+        pytest.param(_labels_without_positives, id="eval-labels-without-positives"),
         pytest.param(_predict_out(parent_is_file=False), id="predict-out-missing-parent"),
         pytest.param(_predict_out(parent_is_file=True), id="predict-out-file-parent"),
         pytest.param(_evolve_out_under_file, id="evolve-out-file-parent"),

@@ -93,6 +93,19 @@ class TestStandardizer:
         s = fit_standardizer(rows)
         assert np.abs(s.transform(rows).mean(axis=0)).max() < 1e-9
 
+    def test_bit_identical_to_numpy_mean_and_std(self, rng):
+        for case in range(200):
+            n, d = int(rng.integers(2, 400)), int(rng.integers(1, 130))
+            rows = rng.normal(rng.normal(), rng.choice([1e-3, 1.0, 1e5]), size=(n, d))
+            rows[:, 0] = 3.0
+            if case % 2:
+                rows = rows.astype(np.float32)
+            s = fit_standardizer(rows)
+            rows64 = rows.astype(np.float64)
+            stds = rows64.std(axis=0)
+            assert s.means.tobytes() == rows64.mean(axis=0).tobytes()
+            assert s.stds.tobytes() == np.where(stds > 0.0, stds, 1.0).tobytes()
+
     def test_needs_two_rows(self):
         with pytest.raises(ValueError):
             fit_standardizer(np.ones((1, 4)))

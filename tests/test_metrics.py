@@ -74,6 +74,28 @@ class TestConfusion:
             confusion([0.5], [2], 0.5)
 
 
+class TestLabelCheck:
+    METRICS = {
+        "auprc": auprc,
+        "confusion": lambda scores, labels: confusion(scores, labels, 0.5),
+    }
+
+    @pytest.mark.parametrize("metric", sorted(METRICS))
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, math.nan])
+    def test_rejects_non_binary(self, metric, bad):
+        labels = np.array([1, 0, 0, bad])
+        with pytest.raises(ValueError, match="labels must be 0/1"):
+            self.METRICS[metric]([0.9, 0.2, 0.6, 0.4], labels)
+
+    @pytest.mark.parametrize("metric", sorted(METRICS))
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.float64])
+    def test_accepts_binary_dtypes(self, metric, dtype):
+        scores = [0.9, 0.2, 0.6, 0.4, 0.7]
+        labels = [1, 0, 0, 1, 1]
+        expected = self.METRICS[metric](scores, np.array(labels, dtype=np.int64))
+        assert self.METRICS[metric](scores, np.array(labels, dtype=dtype)) == expected
+
+
 class TestMcc:
     def test_perfect(self):
         assert mcc(ConfusionCounts(5, 5, 0, 0)) == 1.0

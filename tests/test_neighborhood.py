@@ -172,6 +172,29 @@ class TestBuildNeighborhoods:
                 for (gid, ggrade), (eid, egrade) in zip(got, expected):
                     assert ggrade == pytest.approx(egrade, abs=1e-12)
 
+    def test_equal_grades_order_by_source_position_then_elite_id(self):
+        own = make_genotype(0, 1)
+        other = make_genotype(2, 3, 4)
+        pops = [
+            population(0, [own, own], pool_size=5),
+            population(2, [other, own, other], g1_values=[0.5, 0.1, 0.2], pool_size=5),
+            population(1, [other, other], g1_values=[0.5, 0.2], pool_size=5),
+        ]
+        # task 1's ids sort after task 2's, task 2 comes first in the list,
+        # and select_elites yields elites by g1: 2001, 2002, 2000, 5001, 5000
+        for ind in pops[2].members:
+            ind.id += 4000
+        nmap = build_neighborhoods(pops, self.cfg(elite_fraction=1.0, neighborhood_size=5))
+        entries = nmap[0][0]
+        # grade first (2001 is a copy of own), then source position, then id,
+        # as test_matches_exhaustive_oracle sorts them
+        assert [(e.source_task, e.elite.id) for e in entries] == [
+            (2, 2001), (1, 5000), (1, 5001), (2, 2000), (2, 2002)
+        ]
+        assert entries[0].grade == 1.0
+        assert entries[1].grade < 1.0
+        assert len({e.grade for e in entries[1:]}) == 1
+
     def test_oracle_on_larger_random_instances(self, rng):
         cfg = EvoConfig(population_size=10, elite_fraction=0.5, neighborhood_size=4)
         pops = [

@@ -24,6 +24,7 @@ from evofusion.operators import (
 )
 
 from conftest import ScriptedRng, make_genotype
+from oracles import scan_batch_de
 
 
 def population(pairs, pool_size=7, task=0):
@@ -255,6 +256,28 @@ class TestBatchDe:
         out = batch_de(batch, best, self.cfg(de_apply_prob=0.5, de_F=0.5, de_CR=0.9), rng)
         # v = 1.0 + 0.5*(0 - 1.0) + 0.5*(1.2 - 1.2) = 0.5
         assert out[0].genes[0].w_c == pytest.approx(0.5)
+
+    def test_matches_scan_oracle(self):
+        disjoint = 0
+        for case in range(200):
+            rng = np.random.default_rng(case)
+            size = int(rng.integers(3, 12))
+            if case % 4 == 0:
+                # offspring select entries 0-4 only, parent_best only 5-8
+                batch = [random_genotype(rng, 5, 5) for _ in range(size)]
+                best = Genotype(tuple(FusionGene(int(k), "add", *rng.uniform(0.1, 2.0, 2))
+                                      for k in rng.permutation(np.arange(5, 9))[:3]))
+            else:
+                batch = [random_genotype(rng, 9, 6) for _ in range(size)]
+                best = random_genotype(rng, 9, 6)
+            disjoint += all(not set(best.pool_indices) & set(g.pool_indices) for g in batch)
+            cfg = self.cfg(de_apply_prob=float(rng.random()), de_F=float(rng.uniform(0.0, 1.5)),
+                           de_CR=float(rng.random()))
+            seed = int(rng.integers(2**32))
+            out = batch_de(batch, best, cfg, np.random.default_rng(seed))
+            expected = scan_batch_de(batch, best, cfg, np.random.default_rng(seed))
+            assert out == expected, f"case {case}"
+        assert disjoint >= 50
 
 
 class TestGenerateOffspring:

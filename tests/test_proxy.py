@@ -18,6 +18,7 @@ from evofusion.proxy import (
 )
 
 from conftest import make_genotype
+from oracles import masked_sigmoid
 
 
 def fd_gradient(w, b, X, y, cfg, h=1e-6):
@@ -64,6 +65,39 @@ class TestFocalLoss:
         assert np.isfinite(focal_terms(0.0, 0, cfg)[0])
         assert np.isfinite(focal_terms(1.0, 1, cfg)[0])
         assert np.isfinite(focal_terms(0.0, 1, cfg)[0])
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and bool((a.view(np.uint64) == b.view(np.uint64)).all())
+
+
+# +-0.0, +-inf, NaN of both signs and one with a payload, denormals, the
+# ends of exp's finite range and a dense sweep
+SIGMOID_GRID = np.concatenate([
+    [0.0, -0.0, 1e3, -1e3, np.inf, -np.inf, np.nan, -np.nan,
+     np.array(0x7FF8000000000123, dtype=np.uint64).view(np.float64),
+     5e-324, -5e-324, 709.8, -709.8, 745.2, -745.2, 36.8, -36.8],
+    np.linspace(-60.0, 60.0, 24001),
+    np.geomspace(1e-300, 1e300, 601),
+    -np.geomspace(1e-300, 1e300, 601),
+])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestSigmoid:
+    def test_bit_identical_to_masked_oracle(self):
+        assert same_bits(sigmoid(SIGMOID_GRID), masked_sigmoid(SIGMOID_GRID))
+
+    def test_zero_d_input(self):
+        for z in SIGMOID_GRID[:17]:
+            out = sigmoid(np.float64(z))
+            assert out.shape == ()
+            assert same_bits(out, masked_sigmoid(np.float64(z)))
+
+    def test_two_d_input_keeps_shape(self):
+        z = SIGMOID_GRID[:600].reshape(20, 30)
+        assert same_bits(sigmoid(z), masked_sigmoid(z))
 
 
 class TestGradient:
@@ -150,6 +184,12 @@ class TestTrainer:
         X = rng.normal(size=(20, 3))
         with pytest.raises(DegenerateTaskError):
             train_head(X, np.zeros(20, dtype=int), ProxyConfig())
+
+    @pytest.mark.parametrize("labels", [[1] * 20, []], ids=["all-1", "empty"])
+    def test_degenerate_labels_raise(self, rng, labels):
+        X = rng.normal(size=(len(labels), 3))
+        with pytest.raises(DegenerateTaskError):
+            train_head(X, np.array(labels, dtype=np.int8), ProxyConfig())
 
     def test_deterministic(self, rng):
         X = rng.normal(size=(40, 4))
