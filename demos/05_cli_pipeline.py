@@ -55,12 +55,13 @@ print((workdir / "run" / "summary.out").read_text())
 # slice the validation rows of task_00 into a standalone pool directory
 manifest = read_manifest(workdir / "bench")
 entry = manifest.tasks[0]
+task_dir = workdir / "bench" / entry.name
 n_val = -(-entry.residues // 4)  # ceil of the 25% default
 val_dir = workdir / "valpool"
 val_dir.mkdir()
-for i, rel in enumerate(entry.pool_files):
-    write_fmat(read_fmat(workdir / "bench" / rel)[-n_val:], val_dir / f"pool_{i}.fmat")
-labels = (workdir / "bench" / entry.label_file).read_text().splitlines()
+for i in range(manifest.descriptor(0).pool_size):
+    write_fmat(read_fmat(task_dir / f"pool_{i}.fmat")[-n_val:], val_dir / f"pool_{i}.fmat")
+labels = (task_dir / "labels.txt").read_text().splitlines()
 (workdir / "val_labels.txt").write_text("".join(f"{v}\n" for v in labels[-n_val:]))
 
 cli(

@@ -14,7 +14,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import re
 import sys
 import typing
 from pathlib import Path
@@ -26,11 +25,12 @@ from .data import (
     TaskData,
     encode_genes,
     generate_synthetic,
+    is_json_number,
     load_all_tasks,
     load_strategy,
-    read_fmat,
     read_labels,
     read_manifest,
+    read_pool_dir,
     read_predictions,
     save_strategy,
 )
@@ -51,8 +51,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-# JSON values a config field of each annotated type accepts; ints pass as floats
-_JSON_TYPES = {int: (int,), float: (int, float), tuple: (list,), type(None): (type(None),)}
+# whether a JSON value fits a config field of each annotated type; ints pass as floats
+_JSON_TYPES = {
+    int: lambda v: is_json_number(v, integer=True),
+    float: is_json_number,
+    tuple: lambda v: isinstance(v, list),
+    type(None): lambda v: v is None,
+}
 
 
 def _section(doc: dict, name: str, cls):
@@ -66,13 +71,15 @@ def _section(doc: dict, name: str, cls):
         if key not in hints:
             raise ValueError(f"unknown key {key!r} in config section {name!r}")
         kinds = typing.get_args(hints[key]) or (hints[key],)
-        allowed = sum((_JSON_TYPES[typing.get_origin(kind) or kind] for kind in kinds), ())
-        if isinstance(value, bool) or not isinstance(value, allowed):
+        if not any(_JSON_TYPES[typing.get_origin(kind) or kind](value) for kind in kinds):
             raise ValueError(f"config key {key!r} in section {name!r} has the wrong type")
     kwargs = dict(raw)
     try:
         if cls is SynthConfig and kwargs.get("informative") is not None:
-            kwargs["informative"] = tuple(tuple(int(k) for k in row) for row in kwargs["informative"])
+            rows = kwargs["informative"]
+            if not all(isinstance(row, list) and all(is_json_number(k, integer=True) for k in row) for row in rows):
+                raise TypeError("'informative' must hold one list of integer pool indices per task")
+            kwargs["informative"] = tuple(tuple(row) for row in rows)
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"invalid value in config section {name!r}: {exc}") from exc
@@ -189,37 +196,9 @@ def cmd_evolve(args) -> int:
     return 0
 
 
-def _load_pool_dir(pool_dir: Path, columns: int) -> list[np.ndarray]:
-    """Read ``pool_0.fmat`` ... ``pool_<n-1>.fmat``. Every entry must have
-    ``columns`` columns and as many rows as ``pool_0.fmat``."""
-    entries = {}
-    for path in pool_dir.iterdir():
-        match = re.fullmatch(r"pool_(\d+)\.fmat", path.name)
-        if match:
-            entries[int(match.group(1))] = path
-    if not entries:
-        raise ValueError(f"no pool_<k>.fmat files under {pool_dir}")
-    if sorted(entries) != list(range(len(entries))):
-        raise ValueError(f"pool indices under {pool_dir} are not contiguous from 0")
-    pool = []
-    for k in sorted(entries):
-        entry = read_fmat(entries[k])
-        if entry.shape[1] != columns:
-            raise ValueError(f"{entries[k]} has {entry.shape[1]} columns, strategy head expects {columns}")
-        if pool and entry.shape[0] != pool[0].shape[0]:
-            raise ValueError(f"{entries[k]} has {entry.shape[0]} rows, {entries[0]} has {pool[0].shape[0]}")
-        pool.append(entry)
-    return pool
-
-
 def cmd_predict(args) -> int:
     strategy, pool_size = load_strategy(args.strategy)
-    pool = _load_pool_dir(Path(args.pool_dir), strategy.proxy.coefficients.shape[0])
-    if len(pool) != pool_size:
-        raise ValueError(
-            f"strategy was evolved on a pool of {pool_size} entries, "
-            f"but {args.pool_dir} holds {len(pool)} pool_<k>.fmat files"
-        )
+    pool = read_pool_dir(args.pool_dir, pool_size, strategy.proxy.coefficients.shape[0])
     probs = predict(strategy, pool)
     Path(args.out).write_text("".join(f"{float(p)!r}\n" for p in probs), encoding="utf-8")
     print(f"{probs.size} probabilities written to {args.out}")

@@ -11,16 +11,24 @@ Benchmark directory layout
     <root>/<task_name>/pool_<k>.fmat     pool entry k, shape L x d
     <root>/<task_name>/labels.txt        one '0' or '1' character per line
 
-The manifest lists task names in fixed lexicographic order and, per
-task: residue count, feature dimension, positive count, the 2T-1 pool
-file names in pool-index order, the label file, and the validation
-split specification. Generated benchmarks also record which pool
-indices carry planted signal, for oracle tests.
+The layout is the schema for file names: a task's pool is every
+``pool_<k>.fmat`` in its directory, numbered 0 .. 2T-2, and
+``read_pool_dir`` is the one reader of it (``evolve`` and ``predict``
+both call it). The manifest names no files. It holds
+``schema_version`` (1), ``tasks`` (task names in lexicographic order;
+each is a plain directory name) and ``entries``, which maps each name
+to its ``residues`` and ``feature_dim`` (checked against the files),
+``positive_count``, ``val_ratio`` (the last ceil(val_ratio * L) rows
+validate) and, for generated benchmarks, ``informative_indices`` (pool
+indices that carry planted signal, for oracle tests). Other keys, such
+as the ``pool_files``, ``label_file`` and ``split_rule`` of older
+manifests, are ignored.
 """
 from __future__ import annotations
 
 import json
 import math
+import re
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,6 +53,12 @@ SCHEMA_VERSION = 1
 SIGNAL_AMPLITUDE = 3.0
 SHARED_LATENT_SCALE = 0.3
 MAX_LABEL_RETRIES = 1000
+
+
+def is_json_number(value, integer: bool = False) -> bool:
+    """True for a parsed JSON number (only an integer when ``integer``).
+    JSON ``true``/``false`` are not numbers, although Python's bool is an int."""
+    return not isinstance(value, bool) and isinstance(value, int if integer else (int, float))
 
 
 class FormatError(ValueError):
@@ -100,16 +114,12 @@ class TaskEntry:
     residues: int
     feature_dim: int
     positive_count: int
-    pool_files: tuple[str, ...]
-    label_file: str
     val_ratio: float
-    split_rule: str = "tail"
     informative_indices: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
 class PoolManifest:
-    schema_version: int
     tasks: tuple[TaskEntry, ...]
     root: Path = field(compare=False)
 
@@ -133,34 +143,24 @@ def _validate_manifest(manifest: PoolManifest) -> None:
         raise ValueError("manifest lists no tasks")
     if names != sorted(names) or len(set(names)) != len(names):
         raise ValueError("task names must be unique and lexicographically ordered")
-    pool_size = 2 * len(names) - 1
     for entry in manifest.tasks:
-        if len(entry.pool_files) != pool_size:
-            raise ValueError(
-                f"task {entry.name}: expected {pool_size} pool files, got {len(entry.pool_files)}"
-            )
+        # the name is also the task's directory under the manifest's root
+        if entry.name in ("", ".", "..") or any(c in entry.name for c in "/\\\0"):
+            raise ValueError(f"task name {entry.name!r} is not a plain directory name")
         if not 0.0 < entry.val_ratio < 1.0:
             raise ValueError(f"task {entry.name}: val_ratio must lie in (0, 1)")
-        if entry.split_rule != "tail":
-            raise ValueError(f"task {entry.name}: unknown split rule {entry.split_rule!r}")
-        for rel in list(entry.pool_files) + [entry.label_file]:
-            if not (manifest.root / rel).is_file():
-                raise ValueError(f"task {entry.name}: missing file {rel}")
 
 
 def write_manifest(manifest: PoolManifest) -> Path:
     doc = {
-        "schema_version": manifest.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "tasks": [t.name for t in manifest.tasks],
         "entries": {
             t.name: {
                 "residues": t.residues,
                 "feature_dim": t.feature_dim,
                 "positive_count": t.positive_count,
-                "pool_files": list(t.pool_files),
-                "label_file": t.label_file,
                 "val_ratio": t.val_ratio,
-                "split_rule": t.split_rule,
                 "informative_indices": list(t.informative_indices),
             }
             for t in manifest.tasks
@@ -174,17 +174,15 @@ def write_manifest(manifest: PoolManifest) -> Path:
 def _task_entry(name: str, raw) -> TaskEntry:
     if not isinstance(raw, dict):
         raise TypeError(f"entry {name!r} must be an object")
-    return TaskEntry(
-        name=name,
-        residues=int(raw["residues"]),
-        feature_dim=int(raw["feature_dim"]),
-        positive_count=int(raw["positive_count"]),
-        pool_files=tuple(raw["pool_files"]),
-        label_file=raw["label_file"],
-        val_ratio=float(raw["val_ratio"]),
-        split_rule=raw.get("split_rule", "tail"),
-        informative_indices=tuple(raw.get("informative_indices", ())),
-    )
+    counts = [raw["residues"], raw["feature_dim"], raw["positive_count"]]
+    informative = raw.get("informative_indices", [])
+    if not isinstance(informative, list) or not all(is_json_number(v, integer=True) for v in counts + informative):
+        raise TypeError(
+            f"entry {name!r}: residues, feature_dim, positive_count and informative_indices must be integers"
+        )
+    if not is_json_number(raw["val_ratio"]):
+        raise TypeError(f"entry {name!r}: val_ratio must be a number")
+    return TaskEntry(name, *counts, float(raw["val_ratio"]), tuple(informative))
 
 
 def read_manifest(root) -> PoolManifest:
@@ -205,7 +203,7 @@ def read_manifest(root) -> PoolManifest:
         if not isinstance(entries, dict):
             raise TypeError("'entries' must be an object")
         tasks = tuple(_task_entry(name, entries[name]) for name in names)
-        manifest = PoolManifest(SCHEMA_VERSION, tasks, root)
+        manifest = PoolManifest(tasks, root)
         _validate_manifest(manifest)
     except KeyError as exc:
         raise ValueError(f"manifest {path}: missing key {exc}") from exc
@@ -260,20 +258,36 @@ class TaskData:
     val_idx: np.ndarray
 
 
+def read_pool_dir(pool_dir, size: int, columns: int, rows: int | None = None) -> list[np.ndarray]:
+    """Read ``pool_0.fmat`` ... ``pool_<size-1>.fmat`` from ``pool_dir``,
+    in index order. The directory must hold exactly those ``pool_<k>.fmat``
+    files, and every entry must be ``rows`` x ``columns`` (``rows``
+    defaults to that of ``pool_0.fmat``); otherwise ValueError names the
+    directory or the offending file."""
+    pool_dir = Path(pool_dir)
+    found = {p.name for p in pool_dir.iterdir() if re.fullmatch(r"pool_\d+\.fmat", p.name)}
+    if found != {f"pool_{k}.fmat" for k in range(len(found))}:
+        raise ValueError(f"pool_<k>.fmat files under {pool_dir} are not numbered 0 .. {len(found) - 1}")
+    if len(found) != size:
+        raise ValueError(f"{pool_dir} holds {len(found)} pool_<k>.fmat files, expected a pool of {size} entries")
+    pool = []
+    for k in range(size):
+        path = pool_dir / f"pool_{k}.fmat"
+        matrix = read_fmat(path)
+        rows = matrix.shape[0] if rows is None else rows
+        if matrix.shape != (rows, columns):
+            raise ValueError(f"pool file {path}: shape {matrix.shape} does not match ({rows}, {columns})")
+        pool.append(matrix)
+    return pool
+
+
 def load_task(manifest: PoolManifest, task_position: int) -> TaskData:
     """Load one task's pool, labels and deterministic split."""
     entry = manifest.tasks[task_position]
     descriptor = manifest.descriptor(task_position)
-    pool = []
-    for rel in entry.pool_files:
-        matrix = read_fmat(manifest.root / rel)
-        if matrix.shape != (entry.residues, entry.feature_dim):
-            raise ValueError(
-                f"pool file {rel}: shape {matrix.shape} does not match "
-                f"({entry.residues}, {entry.feature_dim})"
-            )
-        pool.append(matrix)
-    labels = read_labels(manifest.root / entry.label_file, entry.residues)
+    task_dir = manifest.root / entry.name
+    pool = read_pool_dir(task_dir, descriptor.pool_size, entry.feature_dim, entry.residues)
+    labels = read_labels(task_dir / "labels.txt", entry.residues)
     train_idx, val_idx = tail_split(entry.residues, entry.val_ratio)
     return TaskData(descriptor, pool, labels, train_idx, val_idx)
 
@@ -302,6 +316,10 @@ class SynthConfig:
     def __post_init__(self):
         if self.task_count < 1 or self.residues < 4:
             raise ValueError("need task_count >= 1 and residues >= 4")
+        if self.feature_dim < 1:
+            raise ValueError("feature_dim must be >= 1")
+        if self.noise_scale < 0 or self.seed < 0:
+            raise ValueError("noise_scale and seed must be >= 0")
         if not 0.0 < self.positive_rate < 0.5:
             raise ValueError("positive_rate must lie in (0, 0.5)")
         if not 0.0 <= self.cross_correlation <= 1.0:
@@ -364,7 +382,6 @@ def generate_synthetic(cfg: SynthConfig, out_dir) -> PoolManifest:
         informative = cfg.informative_for(t)
         task_dir = out_dir / name
         task_dir.mkdir(exist_ok=True)
-        pool_files = []
         for k in range(pool_size):
             matrix = rng.normal(0.0, cfg.noise_scale, size=(cfg.residues, cfg.feature_dim))
             if k in informative:
@@ -373,24 +390,19 @@ def generate_synthetic(cfg: SynthConfig, out_dir) -> PoolManifest:
                 signal = SIGNAL_AMPLITUDE * strength * labels
                 matrix[:, :n_signal_cols] += signal[:, None]
                 matrix[:, :n_signal_cols] += SHARED_LATENT_SCALE * shared_latent[:, None]
-            rel = f"{name}/pool_{k}.fmat"
-            write_fmat(matrix.astype(np.float32), out_dir / rel)
-            pool_files.append(rel)
-        label_rel = f"{name}/labels.txt"
-        write_labels(labels, out_dir / label_rel)
+            write_fmat(matrix.astype(np.float32), task_dir / f"pool_{k}.fmat")
+        write_labels(labels, task_dir / "labels.txt")
         entries.append(
             TaskEntry(
                 name=name,
                 residues=cfg.residues,
                 feature_dim=cfg.feature_dim,
                 positive_count=int(labels.sum()),
-                pool_files=tuple(pool_files),
-                label_file=label_rel,
                 val_ratio=cfg.val_ratio,
                 informative_indices=tuple(sorted(informative)),
             )
         )
-    manifest = PoolManifest(SCHEMA_VERSION, tuple(entries), out_dir)
+    manifest = PoolManifest(tuple(entries), out_dir)
     write_manifest(manifest)
     return manifest
 
@@ -405,13 +417,13 @@ def decode_genes(raw) -> Genotype:
     if not isinstance(raw, list) or not all(
         isinstance(gene, list)
         and len(gene) == 4
-        and isinstance(gene[0], int)
+        and is_json_number(gene[0], integer=True)
         and isinstance(gene[1], str)
-        and all(isinstance(w, (int, float)) for w in gene[2:])
+        and all(is_json_number(w) for w in gene[2:])
         for gene in raw
     ):
         raise TypeError("'genes' must be a list of [pool_index, op, w_c, w_f]")
-    return Genotype(tuple(FusionGene(int(k), op, float(wc), float(wf)) for k, op, wc, wf in raw))
+    return Genotype(tuple(FusionGene(k, op, float(wc), float(wf)) for k, op, wc, wf in raw))
 
 
 def save_strategy(path, ind: Individual, task_name: str, feature_dim: int, pool_size: int) -> None:
@@ -437,7 +449,7 @@ def save_strategy(path, ind: Individual, task_name: str, feature_dim: int, pool_
 
 def _numbers(doc: dict, key: str) -> np.ndarray:
     raw = doc[key]
-    if not isinstance(raw, list) or not all(isinstance(v, (int, float)) for v in raw):
+    if not isinstance(raw, list) or not all(is_json_number(v) for v in raw):
         raise TypeError(f"{key!r} must be a list of numbers")
     return np.asarray(raw, dtype=np.float64)
 
@@ -456,7 +468,7 @@ def load_strategy(path) -> tuple[Individual, int]:
         stds = _numbers(doc["standardizer"], "stds")
         objectives = _numbers(doc, "objectives")
         intercept, pool_size = doc["intercept"], doc["pool_size"]
-        if not isinstance(intercept, (int, float)) or not isinstance(pool_size, int):
+        if not is_json_number(intercept) or not is_json_number(pool_size, integer=True):
             raise TypeError("'intercept' must be a number and 'pool_size' an integer")
         if not coefficients.size == means.size == stds.size or objectives.size != 2:
             raise ValueError("head sizes disagree or 'objectives' is not a pair")

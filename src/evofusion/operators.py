@@ -67,6 +67,8 @@ class EvoConfig:
             raise ValueError("probabilities must lie in [0, 1]")
         if self.population_size < 4:
             raise ValueError("population_size must be >= 4")
+        if self.generations < 0 or self.seed < 0:
+            raise ValueError("generations and seed must be >= 0")
         if self.max_feature_length < 1:
             raise ValueError("max_feature_length must be >= 1")
         if self.neighborhood_size is not None and self.neighborhood_size < 1:

@@ -40,6 +40,8 @@ class ProxyConfig:
     def __post_init__(self):
         if abs(self.alpha_pos + self.alpha_neg - 1.0) > 1e-9:
             raise ValueError("alpha_pos + alpha_neg must equal 1")
+        if self.alpha_pos < 0 or self.alpha_neg < 0:
+            raise ValueError("alpha_pos and alpha_neg must be >= 0")
         if self.gamma < 0 or self.ridge_lambda < 0:
             raise ValueError("gamma and ridge_lambda must be >= 0")
         if self.max_iter < 1:

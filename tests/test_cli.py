@@ -112,13 +112,28 @@ class TestGen:
         "section, key, value",
         [("proxy", "max_iter", 1.0), ("evolution", "seed", "x"), ("evolution", "generations", None),
          ("synthetic", "feature_dim", 2.5), ("evolution", "neighborhood_size", 1.5),
-         ("proxy", "grad_tol", [1]), ("synthetic", "informative", 3)],
+         ("proxy", "grad_tol", [1]), ("synthetic", "informative", 3),
+         ("synthetic", "informative", [[0.5], [1]])],
     )
     def test_mistyped_config_value_is_data_error(self, tmp_path, section, key, value):
         cfg = write_config(tmp_path / "typed.json", **{section: {key: value}})
         code, err = run_cli("gen", "--config", cfg, "--out", tmp_path / "x")
         assert code == 2
         assert err.count("\n") == 1 and repr(key) in err
+
+    @pytest.mark.parametrize(
+        "section, overrides",
+        [("evolution", {"generations": -3}), ("evolution", {"seed": -1}), ("synthetic", {"seed": -2}),
+         ("proxy", {"alpha_pos": 2.0, "alpha_neg": -1.0}), ("synthetic", {"feature_dim": 0}),
+         ("synthetic", {"noise_scale": -1})],
+        ids=["generations", "evolution-seed", "synthetic-seed", "alpha", "feature-dim", "noise-scale"],
+    )
+    def test_out_of_range_config_value_is_data_error(self, tmp_path, section, overrides):
+        cfg = write_config(tmp_path / "range.json", **{section: overrides})
+        code, err = run_cli("gen", "--config", cfg, "--out", tmp_path / "x")
+        assert code == 2
+        assert err.count("\n") == 1 and f"config section {section!r}" in err
+        assert all(key in err for key in overrides)
 
     def test_unknown_top_level_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
@@ -214,6 +229,27 @@ class TestEvolve:
         )
         assert code == 2
 
+    def test_negative_seed_flag_is_data_error(self, workspace, monkeypatch, capsys):
+        monkeypatch.setattr(evofusion.cli, "load_all_tasks", _search_entered)
+        capsys.readouterr()
+        assert self.evolve(workspace, "runNeg", "--seed", "-4") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "seed must be >= 0" in err
+
+    def test_manifest_with_legacy_keys_gives_identical_output(self, workspace):
+        """A manifest as earlier versions wrote it, naming every file, loads
+        and drives the same run."""
+        assert self.evolve(workspace, "runL0") == 0
+        manifest = workspace / "bench" / "manifest"
+        doc = json.loads(manifest.read_text())
+        for name, entry in doc["entries"].items():
+            entry["pool_files"] = [f"{name}/pool_{k}.fmat" for k in range(3)]
+            entry["label_file"] = f"{name}/labels.txt"
+            entry["split_rule"] = "tail"
+        manifest.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        assert self.evolve(workspace, "runL1") == 0
+        assert tree_digest(workspace / "runL0") == tree_digest(workspace / "runL1")
+
     def test_bad_flag_is_usage_error(self, workspace):
         assert self.evolve(workspace, "runX", "--selector", "hypervolume") == 1
 
@@ -233,7 +269,7 @@ class TestEvolve:
     def test_single_class_training_split_is_data_error(self, workspace, capsys, flag):
         entry = read_manifest(workspace / "bench").tasks[1]
         train_idx, _ = tail_split(entry.residues, entry.val_ratio)
-        labels_file = workspace / "bench" / entry.label_file
+        labels_file = workspace / "bench" / entry.name / "labels.txt"
         labels = labels_file.read_text().split()
         for i in train_idx:
             labels[i] = "0"
@@ -250,13 +286,14 @@ class TestPredictEval:
         """Write the validation rows of task_00 as a standalone pool dir."""
         manifest = read_manifest(workspace / "bench")
         entry = manifest.tasks[0]
+        task_dir = workspace / "bench" / entry.name
         n_val = -(-entry.residues * 25 // 100)  # ceil at the default 0.25
         val_dir = workspace / "valpool"
         val_dir.mkdir()
-        for i, rel in enumerate(entry.pool_files):
-            matrix = read_fmat(workspace / "bench" / rel)
+        for i in range(manifest.descriptor(0).pool_size):
+            matrix = read_fmat(task_dir / f"pool_{i}.fmat")
             write_fmat(matrix[-n_val:], val_dir / f"pool_{i}.fmat")
-        labels = (workspace / "bench" / entry.label_file).read_text().splitlines()
+        labels = (task_dir / "labels.txt").read_text().splitlines()
         (workspace / "val_labels.txt").write_text("".join(f"{v}\n" for v in labels[-n_val:]))
         return val_dir
 
@@ -451,6 +488,51 @@ def _search_entered(*args, **kwargs):
     raise AssertionError("the search ran before the bad input or output was found")
 
 
+def _copied_bench(shared: Path, tmp: Path) -> tuple[list, Path]:
+    """A copy of the shared benchmark and the ``evolve`` argv that reads it."""
+    bench = tmp / "bench"
+    shutil.copytree(shared / "bench", bench)
+    return ["evolve", "--data", bench, "--config", shared / "run.json", "--out", tmp / "run"], bench
+
+
+def _short_pool_entry(command: str):
+    """task_00's pool_2.fmat one row short: ``evolve`` and ``predict`` read
+    it through the same loader and must both name it."""
+
+    def case(shared: Path, tmp: Path):
+        argv, bench = _copied_bench(shared, tmp)
+        bad = bench / "task_00" / "pool_2.fmat"
+        write_fmat(read_fmat(bad)[:-1], bad)
+        if command == "predict":
+            strategy = shared / "runN" / "strategy.task_00.out"
+            argv = ["predict", "--strategy", strategy, "--pool-dir", bench / "task_00", "--out", tmp / "p.txt"]
+        return argv, bad
+
+    return case
+
+
+def _extra_pool_file(shared: Path, tmp: Path):
+    argv, bench = _copied_bench(shared, tmp)
+    # the pool of a 2-task benchmark is pool_0 .. pool_2
+    write_fmat(read_fmat(bench / "task_01" / "pool_0.fmat"), bench / "task_01" / "pool_3.fmat")
+    return argv, bench / "task_01"
+
+
+def _task_named(name: str):
+    """task_00 renamed to ``name`` in the manifest; its files stay put."""
+
+    def case(shared: Path, tmp: Path):
+        argv, bench = _copied_bench(shared, tmp)
+        manifest = bench / "manifest"
+        doc = json.loads(manifest.read_text())
+        doc["tasks"][0] = name
+        doc["entries"][name] = doc["entries"].pop("task_00")
+        manifest.write_text(json.dumps(doc))
+        return argv, manifest
+
+    return case
+
+
 def _evolve_out_under_file(shared: Path, tmp: Path):
     (tmp / "file").write_text("")
     out = tmp / "file" / "run"
@@ -472,6 +554,16 @@ def _evolve_out_under_file(shared: Path, tmp: Path):
         pytest.param(_evolve_out_under_file, id="evolve-out-file-parent"),
         pytest.param(_pool_dir_with([(10, 9)] * 3, bad=0), id="pool-column-count"),
         pytest.param(_pool_dir_with([(10, 6), (10, 6), (11, 6)], bad=2), id="pool-row-count"),
+        pytest.param(_short_pool_entry("evolve"), id="task-pool-row-count-evolve"),
+        pytest.param(_short_pool_entry("predict"), id="task-pool-row-count-predict"),
+        pytest.param(_extra_pool_file, id="extra-pool-file"),
+        pytest.param(_task_named("task_00/../grp/task_01"), id="task-name-escapes"),
+        pytest.param(_task_named("a/b"), id="task-name-slash"),
+        pytest.param(_task_named("a\\b"), id="task-name-backslash"),
+        pytest.param(_task_named(".."), id="task-name-dotdot"),
+        pytest.param(_task_named("."), id="task-name-dot"),
+        pytest.param(_task_named(""), id="task-name-empty"),
+        pytest.param(_task_named("a\0b"), id="task-name-nul"),
     ],
 )
 def test_bad_input_or_output_exits_2_naming_the_file(bench, tmp_path, monkeypatch, case):

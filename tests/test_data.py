@@ -16,6 +16,7 @@ from evofusion.data import (
     read_fmat,
     read_labels,
     read_manifest,
+    read_pool_dir,
     read_predictions,
     save_strategy,
     tail_split,
@@ -192,9 +193,16 @@ class TestStrategy:
             lambda doc: doc["coefficients"].__setitem__(0, float("nan")),
             lambda doc: doc.update(intercept=float("inf")),
             lambda doc: doc.update(objectives=[1.5, 0.0]),
+            # JSON true is not a number, even where 1 would be valid
+            lambda doc: doc.update(pool_size=True, genes=[[0, "add", 1.0, 1.0]]),
+            lambda doc: doc.update(intercept=True),
+            lambda doc: doc["coefficients"].__setitem__(0, True),
+            lambda doc: doc.update(genes=[[True, "add", 1.0, 1.0]]),
+            lambda doc: doc.update(genes=[[1, "add", True, 1.0]]),
         ],
         ids=["duplicate-index", "unknown-op", "weight-out-of-bounds", "index-past-pool",
-             "pool-too-small", "zero-std", "nan-coefficient", "inf-intercept", "objective-range"],
+             "pool-too-small", "zero-std", "nan-coefficient", "inf-intercept", "objective-range",
+             "pool-size-true", "intercept-true", "coefficient-true", "gene-index-true", "gene-weight-true"],
     )
     def test_invalid_strategy_names_its_path(self, saved, corrupt):
         doc = json.loads(saved.read_text())
@@ -211,7 +219,7 @@ class TestGenerator:
         manifest = generate_synthetic(cfg, tmp_path / "b")
         for entry in manifest.tasks:
             assert entry.positive_count == 100
-            labels = read_labels(tmp_path / "b" / entry.label_file, 4000)
+            labels = read_labels(tmp_path / "b" / entry.name / "labels.txt", 4000)
             assert labels.sum() == 100
 
     def test_deterministic_tree(self, tmp_path):
@@ -237,8 +245,12 @@ class TestGenerator:
         names = [t.name for t in manifest.tasks]
         assert names == sorted(names)
         for entry in manifest.tasks:
-            assert len(entry.pool_files) == 5
             assert entry.informative_indices  # generator records ground truth
+        # the layout names the files, so the manifest does not
+        doc = json.loads((out / "manifest").read_text())
+        assert doc["schema_version"] == 1
+        for raw in doc["entries"].values():
+            assert set(raw) == {"residues", "feature_dim", "positive_count", "val_ratio", "informative_indices"}
 
     def test_zero_cross_correlation_kills_dual_signal(self, tmp_path, rng):
         """With c=0, an informative entry aligned to a partner task is
@@ -297,17 +309,37 @@ class TestManifestAndLoad:
     def test_load_validates_pool_shape(self, tmp_path):
         root = self.build(tmp_path)
         manifest = read_manifest(root)
-        victim = root / manifest.tasks[0].pool_files[1]
+        victim = root / "task_00" / "pool_1.fmat"
         write_fmat(np.zeros((40, 7), dtype=np.float32), victim)
         with pytest.raises(ValueError) as err:
             load_task(manifest, 0)
-        assert "pool_1" in str(err.value)
+        assert str(victim) in str(err.value)
 
     def test_missing_file_rejected(self, tmp_path):
         root = self.build(tmp_path)
         (root / "task_00" / "pool_0.fmat").unlink()
-        with pytest.raises(ValueError):
-            read_manifest(root)
+        manifest = read_manifest(root)
+        with pytest.raises(ValueError) as err:
+            load_task(manifest, 0)
+        assert str(root / "task_00") in str(err.value)
+
+    def test_misnumbered_pool_file_rejected(self, tmp_path):
+        root = self.build(tmp_path)
+        write_fmat(np.zeros((40, 4), dtype=np.float32), root / "task_01" / "pool_01.fmat")
+        manifest = read_manifest(root)
+        with pytest.raises(ValueError) as err:
+            load_task(manifest, 1)
+        assert str(root / "task_01") in str(err.value)
+
+    def test_pool_entries_come_in_numeric_order(self, tmp_path, monkeypatch):
+        # 6 tasks: pool_10.fmat sorts before pool_2.fmat as text
+        root = self.build(tmp_path, task_count=6, residues=24, dim=2)
+        task_dir = root / "task_03"
+        expected = [read_fmat(task_dir / f"pool_{k}.fmat") for k in range(11)]
+        listing = Path.iterdir
+        monkeypatch.setattr(Path, "iterdir", lambda self: iter(sorted(listing(self), reverse=True)))
+        pool = read_pool_dir(task_dir, 11, 2)
+        assert [m.tobytes() for m in pool] == [m.tobytes() for m in expected]
 
     def test_unsorted_names_rejected(self, tmp_path):
         root = self.build(tmp_path)
@@ -326,11 +358,15 @@ class TestManifestAndLoad:
             lambda doc: doc["entries"].update(task_00=[1, 2]),
             lambda doc: doc["entries"]["task_00"].pop("residues"),
             lambda doc: doc["entries"]["task_00"].update(residues="forty"),
-            lambda doc: doc["entries"]["task_00"].update(pool_files=7),
-            lambda doc: doc["entries"]["task_00"].update(label_file=None),
+            lambda doc: doc["entries"]["task_00"].update(residues=40.9),
+            lambda doc: doc["entries"]["task_00"].update(residues=True),
+            lambda doc: doc["entries"]["task_00"].update(feature_dim="4"),
+            lambda doc: doc["entries"]["task_00"].update(val_ratio="0.25"),
+            lambda doc: doc["entries"]["task_00"].update(informative_indices=[True]),
         ],
         ids=["no-entries", "entries-list", "tasks-string", "entry-list", "no-residues",
-             "residues-text", "pool-files-number", "label-file-null"],
+             "residues-text", "residues-fraction", "residues-true", "feature-dim-text",
+             "val-ratio-text", "informative-true"],
     )
     def test_malformed_manifest_names_its_path(self, tmp_path, corrupt):
         root = self.build(tmp_path)
