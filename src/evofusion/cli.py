@@ -176,6 +176,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_evolve(args) -> int:
+    if args.threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
     evo_cfg, proxy_cfg, _ = load_run_config(args.config)
     if args.seed is not None:
         evo_cfg = dataclasses.replace(evo_cfg, seed=args.seed)
@@ -190,7 +192,7 @@ def cmd_evolve(args) -> int:
     if args.naive_mean:
         run = run_naive_mean(tasks, proxy_cfg)
     else:
-        run = run_evolution(tasks, evo_cfg, proxy_cfg)
+        run = run_evolution(tasks, evo_cfg, proxy_cfg, workers=args.threads)
     _write_outputs(out_dir, tasks, run.tasks)
     print(f"results written to {args.out}")
     return 0
@@ -240,7 +242,13 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip evolution; evaluate the equal-weight mean of all pool entries",
     )
-    p_evo.add_argument("--threads", type=int, help="ignored; the search runs serially")
+    p_evo.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="search processes, this one included, at most one per task (default 1); "
+        "the output is the same for any N",
+    )
     p_evo.set_defaults(func=cmd_evolve)
 
     p_pred = sub.add_parser("predict", help="score a pool directory with a saved strategy")

@@ -5,11 +5,18 @@ exchange elite genotypes through the neighborhood mechanism and then
 advance independently (offspring generation, batch DE weight
 refinement, evaluation, NSGA-III truncation). Every task owns an rng
 stream spawned from (seed, task position), so a task's results do not
-depend on the order in which the tasks are advanced.
+depend on the order in which the tasks are advanced, nor on which
+worker process advances them.
 """
 from __future__ import annotations
 
+import os
+import pickle
+import subprocess
+import sys
+import threading
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +31,7 @@ from .model import (
     TaskPopulation,
     random_genotype,
 )
-from .neighborhood import build_neighborhoods
+from .neighborhood import build_neighborhoods, publish_elites
 from .nsga3 import ReferenceSet, das_dennis, environmental_selection, nondominated_sort
 from .operators import EvoConfig, batch_de, generate_offspring
 from .proxy import ProxyConfig, evaluate_individual
@@ -235,28 +242,192 @@ def _advance_task(
     return _population_stats(state.population, generation, transfers)
 
 
-def run_evolution(tasks: list[TaskData], cfg: EvoConfig, proxy_cfg: ProxyConfig) -> RunResult:
-    """Run the full multi-task search and return per-task results.
+def _run_share(
+    tasks: list[TaskData],
+    cfg: EvoConfig,
+    proxy_cfg: ProxyConfig,
+    exchange: Callable[[list[Individual]], list[Individual]] | None,
+) -> list[TaskResult]:
+    """Evolve one worker's tasks for the whole run.
 
-    Deterministic given cfg.seed: tasks only interact at the generation
-    barrier where neighborhoods are rebuilt from all populations.
+    At every generation barrier the share publishes its elites and
+    ``exchange`` returns every task's elites in task-position order;
+    with ``exchange=None`` there are no neighborhoods.
     """
-    _validate_tasks(tasks)
     states = [_TaskState(task, cfg) for task in tasks]
     for state in states:
         _init_task(state, cfg, proxy_cfg)
     initial_best = [min((ind.objectives for ind in s.population.members), key=tuple) for s in states]
     histories: list[list[GenerationStats]] = [[] for _ in states]
     Z = das_dennis(cfg.population_size - 1)
-    use_neighbors = cfg.transfer_prob > 0 and len(tasks) > 1
     for generation in range(1, cfg.generations + 1):
-        if use_neighbors:
-            nmap = build_neighborhoods([s.population for s in states], cfg)
+        pops = [s.population for s in states]
+        if exchange is not None:
+            nmap = build_neighborhoods(exchange(publish_elites(pops, cfg)), pops, cfg)
         else:
-            nmap = {s.task.descriptor.position: {} for s in states}
+            nmap = {pop.task.position: {} for pop in pops}
         for state, history in zip(states, histories):
             neighborhood = nmap[state.task.descriptor.position]
             history.append(_advance_task(state, neighborhood, Z, generation, cfg, proxy_cfg))
-    return RunResult(
-        [_task_result(s.population, best, h) for s, best, h in zip(states, initial_best, histories)]
-    )
+    return [_task_result(s.population, best, h) for s, best, h in zip(states, initial_best, histories)]
+
+
+class WorkerError(RuntimeError):
+    """A worker process failed to start, raised or died."""
+
+
+class _Worker:
+    """A child interpreter running ``_run_share`` over a fixed share of
+    the tasks. Frames are pickles: the share and then each barrier's
+    elites go down the child's stdin; (failed, value) pairs with its
+    elites, its results or its error come up a separate pipe. Its stdout
+    and stderr are the caller's."""
+
+    def __init__(
+        self, index: int, tasks: list[TaskData], cfg: EvoConfig, proxy_cfg: ProxyConfig, exchanges: bool
+    ):
+        names = ", ".join(task.descriptor.name for task in tasks)
+        self.label = f"worker {index} (tasks {names})"
+        env = dict(os.environ)
+        # one BLAS thread per process: the cores are the workers'
+        env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (_SOURCE_ROOT, env.get("PYTHONPATH"))))
+        up_read, up_write = os.pipe()
+        try:
+            self.proc = subprocess.Popen(
+                [sys.executable, "-c", _CHILD_MAIN, str(up_write)],
+                stdin=subprocess.PIPE,
+                pass_fds=(up_write,),
+                env=env,
+            )
+        except OSError as exc:
+            os.close(up_read)
+            raise WorkerError(f"{self.label} could not start: {exc}") from exc
+        finally:
+            os.close(up_write)
+        self.up = os.fdopen(up_read, "rb")
+        # the child reads its share only once numpy is imported; a thread
+        # writes it meanwhile so the caller can start on its own share
+        setup = (tasks, cfg, proxy_cfg, exchanges)
+        self.sender = threading.Thread(target=self._send_setup, args=(setup,), daemon=True)
+        self.sender.start()
+
+    def _send_setup(self, setup: tuple) -> None:
+        try:
+            pickle.dump(setup, self.proc.stdin, protocol=pickle.HIGHEST_PROTOCOL)
+            self.proc.stdin.flush()
+        except OSError:
+            pass  # the child is gone; receive() reports how it ended
+
+    def broadcast(self, data: bytes) -> None:
+        self.sender.join()
+        try:
+            self.proc.stdin.write(data)
+            self.proc.stdin.flush()
+        except OSError:
+            raise WorkerError(f"{self.label} exited with code {self._exit_code()}") from None
+
+    def receive(self):
+        """The child's next frame: its elites or its results."""
+        try:
+            failed, value = pickle.load(self.up)
+        except (EOFError, pickle.UnpicklingError):  # the pipe closed, at once or mid-frame
+            raise WorkerError(f"{self.label} exited with code {self._exit_code()}") from None
+        if failed:
+            raise WorkerError(f"{self.label} failed: {value}")
+        return value
+
+    def _exit_code(self):
+        try:
+            return self.proc.wait(timeout=_EXIT_WAIT_S)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            return self.proc.wait()
+
+    def stop(self, kill: bool) -> None:
+        """End the child (at once if ``kill``) and close both pipes."""
+        if kill and self.proc.poll() is None:
+            self.proc.kill()
+        self._exit_code()
+        self.sender.join()  # a write to the ended child fails at once
+        for pipe in (self.proc.stdin, self.up):
+            try:
+                pipe.close()
+            except OSError:
+                pass  # unsent bytes for an ended child
+
+
+# run in a child: python -c _CHILD_MAIN <fd of the pipe up to the caller>
+_CHILD_MAIN = "import sys; from evofusion.driver import _serve; _serve(int(sys.argv[1]))"
+_SOURCE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# how long a child that has stopped sending may take to exit before it is killed
+_EXIT_WAIT_S = 10.0
+
+
+def _serve(up_fd: int) -> None:
+    """Child side of ``_Worker``: read the share, run it, send the results."""
+    down = sys.stdin.buffer
+    with os.fdopen(up_fd, "wb") as up:
+
+        def send(failed: bool, value) -> None:
+            pickle.dump((failed, value), up, protocol=pickle.HIGHEST_PROTOCOL)
+            up.flush()
+
+        def exchange(elites: list[Individual]) -> list[Individual]:
+            send(False, elites)
+            return pickle.load(down)
+
+        try:
+            tasks, cfg, proxy_cfg, exchanges = pickle.load(down)
+            results = _run_share(tasks, cfg, proxy_cfg, exchange if exchanges else None)
+        except BaseException as exc:  # reported to the caller; the child then exits
+            try:
+                send(True, f"{type(exc).__name__}: {exc}")
+            except OSError:
+                pass  # the caller is gone
+            raise SystemExit(1) from None
+        send(False, results)
+
+
+def run_evolution(
+    tasks: list[TaskData], cfg: EvoConfig, proxy_cfg: ProxyConfig, workers: int = 1
+) -> RunResult:
+    """Run the full multi-task search and return per-task results.
+
+    Deterministic given cfg.seed: tasks only interact at the generation
+    barrier where neighborhoods are rebuilt from all populations, so the
+    results do not depend on ``workers``. With ``workers`` = W > 1 (at
+    most one per task), worker w evolves tasks w, w+W, ...; worker 0 is
+    the caller and the others are child processes, each with one BLAS
+    thread. A worker that fails ends the run with WorkerError.
+    """
+    _validate_tasks(tasks)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    count = min(workers, len(tasks))
+    shares = [tasks[w::count] for w in range(count)]
+    exchanges = cfg.transfer_prob > 0 and len(tasks) > 1
+    children: list[_Worker] = []
+    done = False
+    try:
+        for w in range(1, count):
+            children.append(_Worker(w, shares[w], cfg, proxy_cfg, exchanges))
+
+        def gather(own: list[Individual]) -> list[Individual]:
+            published = own + [e for child in children for e in child.receive()]
+            elites = sorted(published, key=lambda e: e.task)
+            data = pickle.dumps(elites, protocol=pickle.HIGHEST_PROTOCOL)
+            for child in children:
+                child.broadcast(data)
+            return elites
+
+        exchange = (gather if children else lambda elites: elites) if exchanges else None
+        results: list = [None] * len(tasks)
+        results[0::count] = _run_share(shares[0], cfg, proxy_cfg, exchange)
+        for w, child in enumerate(children, start=1):
+            results[w::count] = child.receive()
+        done = True
+    finally:
+        for child in children:
+            child.stop(kill=not done)
+    return RunResult(results)

@@ -57,38 +57,55 @@ def select_elites(pop: TaskPopulation, fraction: float) -> list[Individual]:
     return sorted(pop.members, key=Individual.sort_key)[:count]
 
 
-def build_neighborhoods(pops: list[TaskPopulation], cfg: EvoConfig) -> NeighborhoodMap:
+def publish_elites(pops: list[TaskPopulation], cfg: EvoConfig) -> list[Individual]:
+    """Each task's elite fraction, task by task, as copies without the
+    trained head: id, source task position, genotype and objectives are
+    all a neighborhood needs, and all a worker process sends the others."""
+    return [
+        Individual(elite.id, pop.task.position, elite.genotype, elite.objectives)
+        for pop in pops
+        for elite in select_elites(pop, cfg.elite_fraction)
+    ]
+
+
+def build_neighborhoods(
+    elites: list[Individual], pops: list[TaskPopulation], cfg: EvoConfig
+) -> NeighborhoodMap:
     """Build per-individual neighborhoods of foreign elites.
 
-    Every task contributes its elite fraction to a global pool; each
-    individual keeps the top-K most similar elites from other tasks,
+    ``elites`` is the global pool that ``publish_elites`` makes from
+    every task; ``pops`` may be any subset of the tasks. Each member of
+    ``pops`` keeps the top-K most similar elites from other tasks,
     ranked by grey relational grade over the genotype embedding (ties by
-    source task position, then elite id). With a single task every
-    neighborhood is empty.
+    source task position, then elite id). The ranking keys are unique,
+    so a task's map does not depend on which other tasks are in
+    ``pops``. With a single task every neighborhood is empty.
     """
-    elites: list[tuple[Individual, int, np.ndarray]] = []
-    for pop in pops:
-        pool_size = pop.task.pool_size
-        for elite in select_elites(pop, cfg.elite_fraction):
-            vec = vectorize_genotype(elite.genotype, pool_size)
-            elites.append((elite, pop.task.position, vec))
     result: NeighborhoodMap = {}
+    if not pops:
+        return result
+    # every task of a run shares the 2T-1 pool layout
+    pool_size = pops[0].task.pool_size
+    vectors = [vectorize_genotype(elite.genotype, pool_size) for elite in elites]
+    all_sources = np.array([elite.task for elite in elites], dtype=np.int64)
+    all_ids = np.array([elite.id for elite in elites], dtype=np.int64)
     k = cfg.neighborhood_k
     for pop in pops:
         t = pop.task.position
-        foreign = [(e, src, vec) for e, src, vec in elites if src != t]
+        foreign = np.flatnonzero(all_sources != t)
         task_map: dict[int, list[NeighborEntry]] = {}
-        if foreign:
-            matrix = np.stack([vec for _, _, vec in foreign])
-            sources = np.array([src for _, src, _ in foreign])
-            ids = np.array([e.id for e, _, _ in foreign])
+        if foreign.size:
+            matrix = np.stack([vectors[i] for i in foreign])
+            sources = all_sources[foreign]
+            ids = all_ids[foreign]
             for ind in pop.members:
-                x = vectorize_genotype(ind.genotype, pop.task.pool_size)
+                x = vectorize_genotype(ind.genotype, pool_size)
                 grades = grg(x, matrix, cfg.grg_rho)
                 # last key is primary: grade descending, then source, then id
                 order = np.lexsort((ids, sources, -grades))[:k]
                 task_map[ind.id] = [
-                    NeighborEntry(foreign[i][0], foreign[i][1], float(grades[i])) for i in order
+                    NeighborEntry(elites[foreign[i]], int(sources[i]), float(grades[i]))
+                    for i in order
                 ]
         else:
             task_map = {ind.id: [] for ind in pop.members}

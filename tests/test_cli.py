@@ -236,6 +236,15 @@ class TestEvolve:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "seed must be >= 0" in err
 
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_is_data_error(self, workspace, monkeypatch, capsys, threads):
+        monkeypatch.setattr(evofusion.cli, "load_all_tasks", _search_entered)
+        capsys.readouterr()
+        assert self.evolve(workspace, "runThreads", "--threads", threads) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"--threads must be >= 1, got {threads}" in err
+        assert not (workspace / "runThreads").exists()
+
     def test_manifest_with_legacy_keys_gives_identical_output(self, workspace):
         """A manifest as earlier versions wrote it, naming every file, loads
         and drives the same run."""

@@ -1,9 +1,13 @@
+import subprocess
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from evofusion import driver
 from evofusion.data import SynthConfig, generate_synthetic, load_all_tasks
 from evofusion.driver import (
+    WorkerError,
     naive_mean_genotype,
     predict,
     run_evolution,
@@ -140,6 +144,100 @@ class TestRunEvolution:
                 run_evolution(tasks, EvoConfig(population_size=8, generations=1, seed=0), FAST_PROXY)
             else:
                 run_naive_mean(tasks, FAST_PROXY)
+
+
+@dataclass(frozen=True)
+class LocalProxyConfig(ProxyConfig):
+    """Defined in this test module, which a worker process cannot import."""
+
+
+@pytest.fixture
+def children(monkeypatch):
+    """Every worker process started during the test."""
+    started = []
+
+    class RecordingPopen(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", RecordingPopen)
+    return started
+
+
+class TestWorkers:
+    def test_results_do_not_depend_on_worker_count(self, tmp_path, children):
+        tasks = small_benchmark(tmp_path, task_count=5)
+        for transfer_prob in (0.3, 0.0):
+            cfg = EvoConfig(population_size=8, generations=3, seed=6, transfer_prob=transfer_prob)
+            runs = [run_evolution(tasks, cfg, FAST_PROXY, workers=w) for w in (1, 2, 3)]
+            for run in runs[1:]:
+                assert run_snapshot(run) == run_snapshot(runs[0])
+                for a, b in zip(run.tasks, runs[0].tasks):
+                    assert np.array_equal(a.strategy.proxy.coefficients, b.strategy.proxy.coefficients)
+                    assert a.strategy.proxy.intercept == b.strategy.proxy.intercept
+            transfers = sum(sum(s.transfers.values()) for tr in runs[0].tasks for s in tr.history)
+            assert (transfers > 0) == (transfer_prob > 0)
+        # one child for 2 workers, two for 3, per transfer setting
+        assert len(children) == 6
+        assert all(child.poll() is not None for child in children)
+
+    def test_worker_count_is_capped_at_the_task_count(self, tmp_path, children):
+        tasks = small_benchmark(tmp_path, task_count=2)
+        cfg = EvoConfig(population_size=8, generations=1, seed=1)
+        one = run_evolution(tasks, cfg, FAST_PROXY)
+        assert run_snapshot(run_evolution(tasks, cfg, FAST_PROXY, workers=8)) == run_snapshot(one)
+        assert len(children) == 1
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_worker_count_below_one_rejected(self, tmp_path, workers):
+        tasks = small_benchmark(tmp_path)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_evolution(tasks, EvoConfig(population_size=8, generations=1, seed=0), FAST_PROXY, workers)
+
+    def test_child_that_raises_ends_the_run(self, tmp_path, children):
+        tasks = small_benchmark(tmp_path, task_count=5)
+        cfg = EvoConfig(population_size=8, generations=2, seed=1)
+        with pytest.raises(WorkerError, match=r"worker 1 \(tasks task_01, task_04\) failed: "
+                           r"ModuleNotFoundError: No module named 'test_driver'"):
+            run_evolution(tasks, cfg, LocalProxyConfig(max_iter=150), workers=3)
+        assert len(children) == 2
+        assert all(child.poll() is not None for child in children)
+
+    def test_child_that_dies_ends_the_run(self, tmp_path, monkeypatch, children):
+        original = subprocess.Popen
+
+        def start_then_kill(*args, **kwargs):
+            child = original(*args, **kwargs)
+            child.kill()
+            return child
+
+        monkeypatch.setattr(subprocess, "Popen", start_then_kill)
+        tasks = small_benchmark(tmp_path)
+        cfg = EvoConfig(population_size=8, generations=2, seed=1)
+        with pytest.raises(WorkerError, match=r"worker 1 \(tasks task_01\) exited with code -9"):
+            run_evolution(tasks, cfg, FAST_PROXY, workers=2)
+        assert len(children) == 1
+        assert all(child.poll() is not None for child in children)
+
+    def test_child_that_cannot_start_ends_the_run(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(driver.sys, "executable", str(tmp_path / "no-such-python"))
+        tasks = small_benchmark(tmp_path)
+        cfg = EvoConfig(population_size=8, generations=1, seed=1)
+        with pytest.raises(WorkerError, match=r"worker 1 \(tasks task_01\) could not start"):
+            run_evolution(tasks, cfg, FAST_PROXY, workers=2)
+
+    def test_failing_caller_stops_every_child(self, tmp_path, monkeypatch, children):
+        def fail(*args):
+            raise RuntimeError("selection failed in the caller")
+
+        monkeypatch.setattr(driver, "environmental_selection", fail)
+        tasks = small_benchmark(tmp_path, task_count=5)
+        cfg = EvoConfig(population_size=8, generations=2, seed=1)
+        with pytest.raises(RuntimeError, match="selection failed in the caller"):
+            run_evolution(tasks, cfg, FAST_PROXY, workers=3)
+        assert len(children) == 2
+        assert all(child.poll() is not None for child in children)
 
 
 class TestSelectStrategy:

@@ -9,7 +9,7 @@ from evofusion.model import (
     random_genotype,
     vectorize_genotype,
 )
-from evofusion.neighborhood import build_neighborhoods, grg, select_elites
+from evofusion.neighborhood import build_neighborhoods, grg, publish_elites, select_elites
 from evofusion.operators import EvoConfig
 
 from conftest import make_genotype
@@ -19,6 +19,19 @@ from oracles import scalar_grg
 def grade(x, y, rho=0.25):
     """The grade of one pair through the row-wise library function."""
     return float(grg(x, [y], rho)[0])
+
+
+def neighborhoods(pops, cfg):
+    """Every task's map from one call over the elites of all tasks."""
+    return build_neighborhoods(publish_elites(pops, cfg), pops, cfg)
+
+
+def image(nmap):
+    """Comparable form of a neighborhood map."""
+    return {
+        t: {i: [(e.elite.id, e.source_task, e.grade) for e in entries] for i, entries in m.items()}
+        for t, m in nmap.items()
+    }
 
 
 def population(task, genotypes, g1_values=None, pool_size=7):
@@ -121,7 +134,7 @@ class TestBuildNeighborhoods:
 
     def test_single_task_has_empty_neighborhoods(self):
         pop = population(0, [make_genotype(i) for i in range(4)])
-        nmap = build_neighborhoods([pop], self.cfg())
+        nmap = neighborhoods([pop], self.cfg())
         assert set(nmap) == {0}
         assert all(entries == [] for entries in nmap[0].values())
 
@@ -130,7 +143,7 @@ class TestBuildNeighborhoods:
             population(0, [make_genotype(0), make_genotype(1)]),
             population(1, [make_genotype(2), make_genotype(3)]),
         ]
-        nmap = build_neighborhoods(pops, self.cfg(elite_fraction=1.0, neighborhood_size=10))
+        nmap = neighborhoods(pops, self.cfg(elite_fraction=1.0, neighborhood_size=10))
         for entries in nmap[0].values():
             assert len(entries) == 2
             assert all(e.source_task == 1 for e in entries)
@@ -142,7 +155,7 @@ class TestBuildNeighborhoods:
             population(t, [random_genotype(rng, 5, 3) for _ in range(4)], pool_size=5)
             for t in range(3)
         ]
-        nmap = build_neighborhoods(pops, self.cfg(elite_fraction=0.5, neighborhood_size=3))
+        nmap = neighborhoods(pops, self.cfg(elite_fraction=0.5, neighborhood_size=3))
         for t in range(3):
             for entries in nmap[t].values():
                 assert all(e.source_task != t for e in entries)
@@ -153,7 +166,7 @@ class TestBuildNeighborhoods:
             population(t, [random_genotype(rng, 5, 3) for _ in range(4)], pool_size=5)
             for t in range(2)
         ]
-        nmap = build_neighborhoods(pops, cfg)
+        nmap = neighborhoods(pops, cfg)
         all_elites = [(e, p.task.position) for p in pops for e in select_elites(p, 1.0)]
         for pop in pops:
             t = pop.task.position
@@ -184,7 +197,7 @@ class TestBuildNeighborhoods:
         # and select_elites yields elites by g1: 2001, 2002, 2000, 5001, 5000
         for ind in pops[2].members:
             ind.id += 4000
-        nmap = build_neighborhoods(pops, self.cfg(elite_fraction=1.0, neighborhood_size=5))
+        nmap = neighborhoods(pops, self.cfg(elite_fraction=1.0, neighborhood_size=5))
         entries = nmap[0][0]
         # grade first (2001 is a copy of own), then source position, then id,
         # as test_matches_exhaustive_oracle sorts them
@@ -201,7 +214,7 @@ class TestBuildNeighborhoods:
             population(t, [random_genotype(rng, 9, 6) for _ in range(10)], pool_size=9)
             for t in range(4)
         ]
-        nmap = build_neighborhoods(pops, cfg)
+        nmap = neighborhoods(pops, cfg)
         # spot-check grades are non-increasing and well-formed everywhere
         total_entries = 0
         for t, task_map in nmap.items():
@@ -212,3 +225,45 @@ class TestBuildNeighborhoods:
                 assert all(0.0 < g <= 1.0 for g in grades)
                 total_entries += len(entries)
         assert total_entries > 0
+
+    def test_union_of_shares_equals_single_call(self, rng):
+        cfg = EvoConfig(population_size=8, elite_fraction=0.25, neighborhood_size=3)
+        pops = [
+            population(t, [random_genotype(rng, 9, 6) for _ in range(8)], pool_size=9)
+            for t in range(5)
+        ]
+        # a few exact copies across tasks give grade ties of 1.0
+        pops[3].members[0].genotype = pops[1].members[2].genotype
+        pops[4].members[1].genotype = pops[0].members[5].genotype
+        whole = neighborhoods(pops, cfg)
+        elites = publish_elites(pops, cfg)
+        for workers in (2, 3, 5):
+            union = {}
+            for w in range(workers):
+                union.update(build_neighborhoods(elites, pops[w::workers], cfg))
+            assert image(union) == image(whole)
+
+
+class TestPublishElites:
+    def test_elites_in_task_order_without_heads(self):
+        pops = [
+            population(0, [make_genotype(i) for i in range(4)], g1_values=[0.4, 0.1, 0.3, 0.2]),
+            population(1, [make_genotype(i) for i in range(4)]),
+        ]
+        for pop in pops:
+            for ind in pop.members:
+                ind.proxy = object()
+        elites = publish_elites(pops, EvoConfig(population_size=4, elite_fraction=0.5))
+        assert [(e.id, e.task) for e in elites] == [(1, 0), (3, 0), (1000, 1), (1001, 1)]
+        members = {ind.id: ind for pop in pops for ind in pop.members}
+        for e in elites:
+            assert e.proxy is None and e is not members[e.id]
+            assert e.genotype == members[e.id].genotype
+            assert e.objectives == members[e.id].objectives
+
+    def test_source_is_the_population_position(self):
+        pop = population(2, [make_genotype(0), make_genotype(1)])
+        for ind in pop.members:
+            ind.task = 99
+        elites = publish_elites([pop], EvoConfig(population_size=4, elite_fraction=1.0))
+        assert {e.task for e in elites} == {2}
