@@ -6,15 +6,18 @@ advance independently (offspring generation, batch DE weight
 refinement, evaluation, NSGA-III truncation). Every task owns an rng
 stream spawned from (seed, task position), so a task's results do not
 depend on the order in which the tasks are advanced, nor on which
-worker process advances them.
+worker process advances them. The caller is worker 0; each other
+worker is a child process that reads its tasks from its stdin and
+trades elites and results with the caller over one socket.
 """
 from __future__ import annotations
 
 import os
 import pickle
+import socket
 import subprocess
 import sys
-import threading
+import tempfile
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -145,7 +148,7 @@ def predict(strategy: Individual, pool: list[np.ndarray]) -> np.ndarray:
     d = strategy.proxy.coefficients.shape[0]
     for i, entry in enumerate(pool):
         if entry.ndim != 2 or entry.shape[1] != d:
-            raise ValueError(f"pool entry {i} has {entry.shape[1]} columns, head expects {d}")
+            raise ValueError(f"pool entry {i} has shape {entry.shape}, head expects {d} columns")
     fused = fuse_genotype(strategy.genotype, pool)
     return strategy.proxy.scores(fused)
 
@@ -246,13 +249,12 @@ def _run_share(
     tasks: list[TaskData],
     cfg: EvoConfig,
     proxy_cfg: ProxyConfig,
-    exchange: Callable[[list[Individual]], list[Individual]] | None,
+    exchange: Callable[[list[Individual]], list[Individual]],
 ) -> list[TaskResult]:
     """Evolve one worker's tasks for the whole run.
 
     At every generation barrier the share publishes its elites and
-    ``exchange`` returns every task's elites in task-position order;
-    with ``exchange=None`` there are no neighborhoods.
+    ``exchange`` returns every task's elites in task-position order.
     """
     states = [_TaskState(task, cfg) for task in tasks]
     for state in states:
@@ -262,76 +264,62 @@ def _run_share(
     Z = das_dennis(cfg.population_size - 1)
     for generation in range(1, cfg.generations + 1):
         pops = [s.population for s in states]
-        if exchange is not None:
-            nmap = build_neighborhoods(exchange(publish_elites(pops, cfg)), pops, cfg)
-        else:
-            nmap = {pop.task.position: {} for pop in pops}
+        nmap = build_neighborhoods(exchange(publish_elites(pops, cfg)), pops, cfg)
         for state, history in zip(states, histories):
             neighborhood = nmap[state.task.descriptor.position]
             history.append(_advance_task(state, neighborhood, Z, generation, cfg, proxy_cfg))
     return [_task_result(s.population, best, h) for s, best, h in zip(states, initial_best, histories)]
 
 
-class WorkerError(RuntimeError):
+class WorkerError(OSError):
     """A worker process failed to start, raised or died."""
 
 
 class _Worker:
     """A child interpreter running ``_run_share`` over a fixed share of
-    the tasks. Frames are pickles: the share and then each barrier's
-    elites go down the child's stdin; (failed, value) pairs with its
-    elites, its results or its error come up a separate pipe. Its stdout
-    and stderr are the caller's."""
+    the tasks. Frames are pickles. The share is written to a temporary
+    file that is the child's stdin; after that one socket carries each
+    barrier's elites down and (failed, value) pairs with the child's
+    elites, its results or its error up. Its stdout and stderr are the
+    caller's."""
 
-    def __init__(
-        self, index: int, tasks: list[TaskData], cfg: EvoConfig, proxy_cfg: ProxyConfig, exchanges: bool
-    ):
+    def __init__(self, index: int, tasks: list[TaskData], cfg: EvoConfig, proxy_cfg: ProxyConfig):
         names = ", ".join(task.descriptor.name for task in tasks)
         self.label = f"worker {index} (tasks {names})"
         env = dict(os.environ)
         # one BLAS thread per process: the cores are the workers'
         env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
         env["PYTHONPATH"] = os.pathsep.join(filter(None, (_SOURCE_ROOT, env.get("PYTHONPATH"))))
-        up_read, up_write = os.pipe()
-        try:
-            self.proc = subprocess.Popen(
-                [sys.executable, "-c", _CHILD_MAIN, str(up_write)],
-                stdin=subprocess.PIPE,
-                pass_fds=(up_write,),
-                env=env,
-            )
-        except OSError as exc:
-            os.close(up_read)
-            raise WorkerError(f"{self.label} could not start: {exc}") from exc
-        finally:
-            os.close(up_write)
-        self.up = os.fdopen(up_read, "rb")
-        # the child reads its share only once numpy is imported; a thread
-        # writes it meanwhile so the caller can start on its own share
-        setup = (tasks, cfg, proxy_cfg, exchanges)
-        self.sender = threading.Thread(target=self._send_setup, args=(setup,), daemon=True)
-        self.sender.start()
-
-    def _send_setup(self, setup: tuple) -> None:
-        try:
-            pickle.dump(setup, self.proc.stdin, protocol=pickle.HIGHEST_PROTOCOL)
-            self.proc.stdin.flush()
-        except OSError:
-            pass  # the child is gone; receive() reports how it ended
+        with tempfile.TemporaryFile() as setup:
+            pickle.dump((tasks, cfg, proxy_cfg), setup, protocol=pickle.HIGHEST_PROTOCOL)
+            setup.seek(0)
+            ours, theirs = socket.socketpair()
+            with theirs:
+                try:
+                    self.proc = subprocess.Popen(
+                        [sys.executable, "-c", _CHILD_MAIN, str(theirs.fileno())],
+                        stdin=setup,
+                        pass_fds=(theirs.fileno(),),
+                        env=env,
+                    )
+                except OSError as exc:
+                    ours.close()
+                    raise WorkerError(f"{self.label} could not start: {exc}") from exc
+        self.channel = ours.makefile("rwb")
+        ours.close()  # the channel keeps the descriptor open until it closes
 
     def broadcast(self, data: bytes) -> None:
-        self.sender.join()
         try:
-            self.proc.stdin.write(data)
-            self.proc.stdin.flush()
+            self.channel.write(data)
+            self.channel.flush()
         except OSError:
             raise WorkerError(f"{self.label} exited with code {self._exit_code()}") from None
 
     def receive(self):
         """The child's next frame: its elites or its results."""
         try:
-            failed, value = pickle.load(self.up)
-        except (EOFError, pickle.UnpicklingError):  # the pipe closed, at once or mid-frame
+            failed, value = pickle.load(self.channel)
+        except (EOFError, OSError, pickle.UnpicklingError):  # the socket closed, at once or mid-frame
             raise WorkerError(f"{self.label} exited with code {self._exit_code()}") from None
         if failed:
             raise WorkerError(f"{self.label} failed: {value}")
@@ -345,41 +333,38 @@ class _Worker:
             return self.proc.wait()
 
     def stop(self, kill: bool) -> None:
-        """End the child (at once if ``kill``) and close both pipes."""
+        """End the child (at once if ``kill``) and close the socket."""
         if kill and self.proc.poll() is None:
             self.proc.kill()
         self._exit_code()
-        self.sender.join()  # a write to the ended child fails at once
-        for pipe in (self.proc.stdin, self.up):
-            try:
-                pipe.close()
-            except OSError:
-                pass  # unsent bytes for an ended child
+        try:
+            self.channel.close()
+        except OSError:
+            pass  # unsent bytes for an ended child
 
 
-# run in a child: python -c _CHILD_MAIN <fd of the pipe up to the caller>
+# run in a child: python -c _CHILD_MAIN <fd of its socket to the caller>
 _CHILD_MAIN = "import sys; from evofusion.driver import _serve; _serve(int(sys.argv[1]))"
 _SOURCE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # how long a child that has stopped sending may take to exit before it is killed
 _EXIT_WAIT_S = 10.0
 
 
-def _serve(up_fd: int) -> None:
+def _serve(fd: int) -> None:
     """Child side of ``_Worker``: read the share, run it, send the results."""
-    down = sys.stdin.buffer
-    with os.fdopen(up_fd, "wb") as up:
+    with socket.socket(fileno=fd) as sock, sock.makefile("rwb") as channel:
 
         def send(failed: bool, value) -> None:
-            pickle.dump((failed, value), up, protocol=pickle.HIGHEST_PROTOCOL)
-            up.flush()
+            pickle.dump((failed, value), channel, protocol=pickle.HIGHEST_PROTOCOL)
+            channel.flush()
 
         def exchange(elites: list[Individual]) -> list[Individual]:
             send(False, elites)
-            return pickle.load(down)
+            return pickle.load(channel)
 
         try:
-            tasks, cfg, proxy_cfg, exchanges = pickle.load(down)
-            results = _run_share(tasks, cfg, proxy_cfg, exchange if exchanges else None)
+            tasks, cfg, proxy_cfg = pickle.load(sys.stdin.buffer)
+            results = _run_share(tasks, cfg, proxy_cfg, exchange)
         except BaseException as exc:  # reported to the caller; the child then exits
             try:
                 send(True, f"{type(exc).__name__}: {exc}")
@@ -399,31 +384,32 @@ def run_evolution(
     results do not depend on ``workers``. With ``workers`` = W > 1 (at
     most one per task), worker w evolves tasks w, w+W, ...; worker 0 is
     the caller and the others are child processes, each with one BLAS
-    thread. A worker that fails ends the run with WorkerError.
+    thread. Every generation the workers meet at one exchange of elites,
+    also when no task publishes any. A worker that fails ends the run
+    with WorkerError, an OSError.
     """
     _validate_tasks(tasks)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     count = min(workers, len(tasks))
     shares = [tasks[w::count] for w in range(count)]
-    exchanges = cfg.transfer_prob > 0 and len(tasks) > 1
     children: list[_Worker] = []
     done = False
     try:
         for w in range(1, count):
-            children.append(_Worker(w, shares[w], cfg, proxy_cfg, exchanges))
+            children.append(_Worker(w, shares[w], cfg, proxy_cfg))
 
         def gather(own: list[Individual]) -> list[Individual]:
             published = own + [e for child in children for e in child.receive()]
             elites = sorted(published, key=lambda e: e.task)
-            data = pickle.dumps(elites, protocol=pickle.HIGHEST_PROTOCOL)
-            for child in children:
-                child.broadcast(data)
+            if children:
+                data = pickle.dumps(elites, protocol=pickle.HIGHEST_PROTOCOL)
+                for child in children:
+                    child.broadcast(data)
             return elites
 
-        exchange = (gather if children else lambda elites: elites) if exchanges else None
         results: list = [None] * len(tasks)
-        results[0::count] = _run_share(shares[0], cfg, proxy_cfg, exchange)
+        results[0::count] = _run_share(shares[0], cfg, proxy_cfg, gather)
         for w, child in enumerate(children, start=1):
             results[w::count] = child.receive()
         done = True

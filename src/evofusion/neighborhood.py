@@ -60,7 +60,10 @@ def select_elites(pop: TaskPopulation, fraction: float) -> list[Individual]:
 def publish_elites(pops: list[TaskPopulation], cfg: EvoConfig) -> list[Individual]:
     """Each task's elite fraction, task by task, as copies without the
     trained head: id, source task position, genotype and objectives are
-    all a neighborhood needs, and all a worker process sends the others."""
+    all a neighborhood needs, and all a worker process sends the others.
+    Without transfer no task publishes, so every neighborhood is empty."""
+    if cfg.transfer_prob == 0:
+        return []
     return [
         Individual(elite.id, pop.task.position, elite.genotype, elite.objectives)
         for pop in pops
@@ -79,7 +82,7 @@ def build_neighborhoods(
     ranked by grey relational grade over the genotype embedding (ties by
     source task position, then elite id). The ranking keys are unique,
     so a task's map does not depend on which other tasks are in
-    ``pops``. With a single task every neighborhood is empty.
+    ``pops``. With no foreign elite every neighborhood is empty.
     """
     result: NeighborhoodMap = {}
     if not pops:

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evofusion.cli
+import evofusion.driver
 from evofusion.cli import main
 from evofusion.data import read_fmat, read_manifest, tail_split, write_fmat
 from test_data import tree_digest
@@ -244,6 +245,14 @@ class TestEvolve:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"--threads must be >= 1, got {threads}" in err
         assert not (workspace / "runThreads").exists()
+
+    def test_worker_that_cannot_start_is_one_line_data_error(self, workspace, monkeypatch, capsys):
+        monkeypatch.setattr(evofusion.driver.sys, "executable", str(workspace / "no-such-python"))
+        capsys.readouterr()
+        assert self.evolve(workspace, "runWorker", "--threads", "2") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("evofusion: error: worker 1 (tasks task_01)")
+        assert "Traceback" not in err
 
     def test_manifest_with_legacy_keys_gives_identical_output(self, workspace):
         """A manifest as earlier versions wrote it, naming every file, loads

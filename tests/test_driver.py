@@ -1,3 +1,4 @@
+import os
 import subprocess
 from dataclasses import dataclass
 
@@ -227,6 +228,18 @@ class TestWorkers:
         with pytest.raises(WorkerError, match=r"worker 1 \(tasks task_01\) could not start"):
             run_evolution(tasks, cfg, FAST_PROXY, workers=2)
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists descriptors through /proc")
+    def test_no_descriptor_outlives_the_run(self, tmp_path):
+        tasks = small_benchmark(tmp_path, task_count=5)
+        cfg = EvoConfig(population_size=8, generations=2, seed=1)
+        before = sorted(os.listdir("/proc/self/fd"))
+        run_evolution(tasks, cfg, FAST_PROXY, workers=3)
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        # ``kept`` holds the run's frame, so only an explicit close frees the sockets
+        with pytest.raises(WorkerError) as kept:
+            run_evolution(tasks, cfg, LocalProxyConfig(max_iter=150), workers=3)
+        assert sorted(os.listdir("/proc/self/fd")) == before
+
     def test_failing_caller_stops_every_child(self, tmp_path, monkeypatch, children):
         def fail(*args):
             raise RuntimeError("selection failed in the caller")
@@ -305,6 +318,8 @@ class TestPredict:
         ind = Individual(0, 0, make_genotype(0), objectives=ObjectiveVector(0.5, 0.5), proxy=model)
         with pytest.raises(ValueError):
             predict(ind, [rng.normal(size=(6, 5))])
+        with pytest.raises(ValueError, match=r"pool entry 1 has shape \(3,\)"):
+            predict(ind, [rng.normal(size=(6, 4)), np.zeros(3)])
 
 
 class TestNaiveMean:

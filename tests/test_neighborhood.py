@@ -261,6 +261,15 @@ class TestPublishElites:
             assert e.genotype == members[e.id].genotype
             assert e.objectives == members[e.id].objectives
 
+    def test_nothing_published_without_transfer(self):
+        pops = [population(t, [make_genotype(i) for i in range(4)]) for t in range(3)]
+        cfg = EvoConfig(population_size=4, transfer_prob=0.0)
+        assert publish_elites(pops, cfg) == []
+        nmap = build_neighborhoods([], pops, cfg)
+        assert set(nmap) == {0, 1, 2}
+        for pop in pops:
+            assert nmap[pop.task.position] == {ind.id: [] for ind in pop.members}
+
     def test_source_is_the_population_position(self):
         pop = population(2, [make_genotype(0), make_genotype(1)])
         for ind in pop.members:
