@@ -62,6 +62,6 @@ print("\nselected strategy:", [(g.pool_index, g.op) for g in strategy.genotype.g
 print("planted informative index:", list(manifest.tasks[0].informative_indices))
 
 probs = predict(strategy, tasks[0].pool)
-val = tasks[0].val_idx
+val = slice(tasks[0].n_train, None)
 print(f"validation AUPRC via predict(): {auprc(probs[val], tasks[0].labels[val]):.3f}")
 print(f"stored at evaluation time:      {1 - strategy.objectives.g1:.3f}")

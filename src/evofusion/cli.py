@@ -157,8 +157,8 @@ def _write_outputs(out_dir: Path, tasks: list[TaskData], results: list[TaskResul
                 row = [stat.generation, name, repr(stat.best_g1), repr(stat.best_g2), repr(stat.mean_g1)]
                 row += [stat.transfers.get(task_names.index(n), 0) for n in others]
                 writer.writerow(row)
-        probs = predict(result.strategy, task.pool)[task.val_idx]
-        summary_lines += _task_summary_lines(name, _metrics(probs, task.labels[task.val_idx]))
+        probs = predict(result.strategy, task.pool)[task.n_train :]
+        summary_lines += _task_summary_lines(name, _metrics(probs, task.labels[task.n_train :]))
     (out_dir / "summary.out").write_text("\n".join(summary_lines), encoding="utf-8")
 
 

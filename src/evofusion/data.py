@@ -212,12 +212,13 @@ def read_manifest(root) -> PoolManifest:
     return manifest
 
 
-def tail_split(residues: int, val_ratio: float) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic split: the last ceil(val_ratio * L) rows validate."""
+def tail_split(residues: int, val_ratio: float) -> int:
+    """Deterministic split: the last ceil(val_ratio * L) rows validate.
+    Returns the number of leading rows that train."""
     n_val = math.ceil(val_ratio * residues)
     if n_val < 1 or n_val >= residues:
         raise ValueError(f"val_ratio {val_ratio} leaves an empty split for L={residues}")
-    return np.arange(residues - n_val), np.arange(residues - n_val, residues)
+    return residues - n_val
 
 
 def read_labels(path, expected_len: int | None = None) -> np.ndarray:
@@ -249,13 +250,13 @@ def write_labels(labels: np.ndarray, path) -> None:
 
 @dataclass(eq=False)
 class TaskData:
-    """Everything the optimizer needs for one task."""
+    """Everything the optimizer needs for one task. The first
+    ``n_train`` rows train and the rest validate."""
 
     descriptor: TaskDescriptor
     pool: list[np.ndarray]
     labels: np.ndarray
-    train_idx: np.ndarray
-    val_idx: np.ndarray
+    n_train: int
 
 
 def read_pool_dir(pool_dir, size: int, columns: int, rows: int | None = None) -> list[np.ndarray]:
@@ -288,8 +289,7 @@ def load_task(manifest: PoolManifest, task_position: int) -> TaskData:
     task_dir = manifest.root / entry.name
     pool = read_pool_dir(task_dir, descriptor.pool_size, entry.feature_dim, entry.residues)
     labels = read_labels(task_dir / "labels.txt", entry.residues)
-    train_idx, val_idx = tail_split(entry.residues, entry.val_ratio)
-    return TaskData(descriptor, pool, labels, train_idx, val_idx)
+    return TaskData(descriptor, pool, labels, tail_split(entry.residues, entry.val_ratio))
 
 
 def load_all_tasks(manifest: PoolManifest) -> list[TaskData]:
@@ -346,8 +346,7 @@ def _draw_labels(rng: np.random.Generator, cfg: SynthConfig) -> np.ndarray:
     n_pos = int(cfg.positive_rate * cfg.residues)
     if n_pos < 1:
         raise ValueError("positive_rate * residues must be >= 1")
-    train_idx, val_idx = tail_split(cfg.residues, cfg.val_ratio)
-    boundary = train_idx.size
+    boundary = tail_split(cfg.residues, cfg.val_ratio)
     for _ in range(MAX_LABEL_RETRIES):
         positions = rng.choice(cfg.residues, size=n_pos, replace=False)
         labels = np.zeros(cfg.residues, dtype=np.int8)

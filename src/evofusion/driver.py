@@ -12,6 +12,8 @@ trades elites and results with the caller over one socket.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import os
 import pickle
 import socket
@@ -103,13 +105,13 @@ def _validate_tasks(tasks: list[TaskData]) -> None:
             raise ValueError(f"task {d.name}: label length mismatch")
         if not ((task.labels == 0) | (task.labels == 1)).all():
             raise ValueError(f"task {d.name}: labels must be 0/1")
-        if not task.labels[task.val_idx].any():
+        if not 0 < task.n_train < d.residue_count:
+            raise ValueError(f"task {d.name}: training rows {task.n_train} outside 1 .. {d.residue_count - 1}")
+        if not task.labels[task.n_train:].any():
             raise ValueError(f"task {d.name}: validation split has no positives")
-        train = task.labels[task.train_idx]
+        train = task.labels[: task.n_train]
         if not train.any() or train.all():
             raise ValueError(f"task {d.name}: training split needs both classes")
-        if np.intersect1d(task.train_idx, task.val_idx).size:
-            raise ValueError(f"task {d.name}: train and validation indices overlap")
 
 
 def _pareto_front(pop: TaskPopulation) -> list[Individual]:
@@ -245,30 +247,65 @@ def _advance_task(
     return _population_stats(state.population, generation, transfers)
 
 
+def _find_openblas():
+    """The thread-count getter and setter of numpy's bundled OpenBLAS,
+    or None when numpy links another BLAS. numpy's core extension links
+    the library, so its symbols resolve through the extension."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        return lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+
+
+_OPENBLAS = _find_openblas()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with one OpenBLAS thread, then restore the count.
+
+    OpenBLAS splits its reductions by thread count, so a head's last
+    bits would depend on the process that trains it. Without numpy's
+    bundled OpenBLAS nothing is set, and every process keeps the same
+    default."""
+    if _OPENBLAS is None:
+        yield
+        return
+    get, set_ = _OPENBLAS
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
+
+
 def _run_share(
     tasks: list[TaskData],
     cfg: EvoConfig,
     proxy_cfg: ProxyConfig,
     exchange: Callable[[list[Individual]], list[Individual]],
 ) -> list[TaskResult]:
-    """Evolve one worker's tasks for the whole run.
+    """Evolve one worker's tasks for the whole run, on one BLAS thread.
 
     At every generation barrier the share publishes its elites and
     ``exchange`` returns every task's elites in task-position order.
     """
-    states = [_TaskState(task, cfg) for task in tasks]
-    for state in states:
-        _init_task(state, cfg, proxy_cfg)
-    initial_best = [min((ind.objectives for ind in s.population.members), key=tuple) for s in states]
-    histories: list[list[GenerationStats]] = [[] for _ in states]
-    Z = das_dennis(cfg.population_size - 1)
-    for generation in range(1, cfg.generations + 1):
-        pops = [s.population for s in states]
-        nmap = build_neighborhoods(exchange(publish_elites(pops, cfg)), pops, cfg)
-        for state, history in zip(states, histories):
-            neighborhood = nmap[state.task.descriptor.position]
-            history.append(_advance_task(state, neighborhood, Z, generation, cfg, proxy_cfg))
-    return [_task_result(s.population, best, h) for s, best, h in zip(states, initial_best, histories)]
+    with _one_blas_thread():
+        states = [_TaskState(task, cfg) for task in tasks]
+        for state in states:
+            _init_task(state, cfg, proxy_cfg)
+        initial_best = [min((ind.objectives for ind in s.population.members), key=tuple) for s in states]
+        histories: list[list[GenerationStats]] = [[] for _ in states]
+        Z = das_dennis(cfg.population_size - 1)
+        for generation in range(1, cfg.generations + 1):
+            pops = [s.population for s in states]
+            nmap = build_neighborhoods(exchange(publish_elites(pops, cfg)), pops, cfg)
+            for state, history in zip(states, histories):
+                neighborhood = nmap[state.task.descriptor.position]
+                history.append(_advance_task(state, neighborhood, Z, generation, cfg, proxy_cfg))
+        return [_task_result(s.population, best, h) for s, best, h in zip(states, initial_best, histories)]
 
 
 class WorkerError(OSError):
@@ -287,8 +324,10 @@ class _Worker:
         names = ", ".join(task.descriptor.name for task in tasks)
         self.label = f"worker {index} (tasks {names})"
         env = dict(os.environ)
-        # one BLAS thread per process: the cores are the workers'
-        env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        if _OPENBLAS is not None:
+            # its share runs on one thread anyway; starting on one spares
+            # the child's numpy import a spinning OpenBLAS thread (~0.07 s)
+            env["OPENBLAS_NUM_THREADS"] = "1"
         env["PYTHONPATH"] = os.pathsep.join(filter(None, (_SOURCE_ROOT, env.get("PYTHONPATH"))))
         with tempfile.TemporaryFile() as setup:
             pickle.dump((tasks, cfg, proxy_cfg), setup, protocol=pickle.HIGHEST_PROTOCOL)
@@ -383,10 +422,11 @@ def run_evolution(
     barrier where neighborhoods are rebuilt from all populations, so the
     results do not depend on ``workers``. With ``workers`` = W > 1 (at
     most one per task), worker w evolves tasks w, w+W, ...; worker 0 is
-    the caller and the others are child processes, each with one BLAS
-    thread. Every generation the workers meet at one exchange of elites,
-    also when no task publishes any. A worker that fails ends the run
-    with WorkerError, an OSError.
+    the caller and the others are child processes. Every worker runs on
+    one BLAS thread, and the caller's count is restored on return.
+    Every generation the workers meet at one exchange of elites, also
+    when no task publishes any. A worker that fails ends the run with
+    WorkerError, an OSError.
     """
     _validate_tasks(tasks)
     if workers < 1:

@@ -94,14 +94,14 @@ def fuse_genotype(g: Genotype, pool: list[np.ndarray]) -> np.ndarray:
     modified.
     """
     first = g.genes[0].pool_index
-    if first >= len(pool):
+    if not 0 <= first < len(pool):
         raise IndexError(f"pool index {first} outside pool of {len(pool)} entries")
     acc = np.array(pool[first], dtype=np.float64)
     if not np.isfinite(acc).all():
         raise FusionOverflowError(f"non-finite values in pool entry {first}")
     scratch = np.empty_like(acc)
     for gene in g.genes[1:]:
-        if gene.pool_index >= len(pool):
+        if not 0 <= gene.pool_index < len(pool):
             raise IndexError(f"pool index {gene.pool_index} outside pool of {len(pool)} entries")
         _fuse_into(acc, pool[gene.pool_index], scratch, gene.op, gene.w_c, gene.w_f)
     return acc

@@ -22,7 +22,6 @@ NeighborhoodMap = dict[int, dict[int, list["NeighborEntry"]]]
 @dataclass(frozen=True, eq=False)
 class NeighborEntry:
     elite: Individual
-    source_task: int
     grade: float
 
 
@@ -106,10 +105,7 @@ def build_neighborhoods(
                 grades = grg(x, matrix, cfg.grg_rho)
                 # last key is primary: grade descending, then source, then id
                 order = np.lexsort((ids, sources, -grades))[:k]
-                task_map[ind.id] = [
-                    NeighborEntry(elites[foreign[i]], int(sources[i]), float(grades[i]))
-                    for i in order
-                ]
+                task_map[ind.id] = [NeighborEntry(elites[foreign[i]], float(grades[i])) for i in order]
         else:
             task_map = {ind.id: [] for ind in pop.members}
         result[t] = task_map

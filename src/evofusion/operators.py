@@ -270,7 +270,7 @@ def generate_offspring(
     if float(rng.random()) < cfg.transfer_prob and entries:
         entry = entries[int(rng.integers(len(entries)))]
         p2 = entry.elite.genotype
-        source = entry.source_task
+        source = entry.elite.task
     else:
         p2 = tournament(pop, TOURNAMENT_SIZE, rng).genotype
     child = p1.genotype

@@ -24,10 +24,6 @@ MAX_HALVINGS = 50
 FAILURE_OBJECTIVES = ObjectiveVector(1.0, 1.0)
 
 
-class DegenerateTaskError(ValueError):
-    """Training labels contain a single class."""
-
-
 @dataclass(frozen=True)
 class ProxyConfig:
     alpha_pos: float = 0.85
@@ -180,10 +176,10 @@ def fit_focal_logistic(X, y, cfg: ProxyConfig):
 
 def train_head(fused_train: np.ndarray, labels_train, cfg: ProxyConfig) -> ProxyModel:
     """Standardize the training rows and fit the focal logistic head.
-    Raises DegenerateTaskError unless the 0/1 labels hold both classes."""
+    Raises ValueError unless the 0/1 labels hold both classes."""
     labels_train = np.asarray(labels_train)
     if not labels_train.any() or labels_train.all():
-        raise DegenerateTaskError("training labels contain a single class")
+        raise ValueError("training labels contain a single class")
     standardizer = fit_standardizer(fused_train)
     X = standardizer.transform(fused_train)
     w, b, _ = fit_focal_logistic(X, labels_train, cfg)
@@ -193,21 +189,22 @@ def train_head(fused_train: np.ndarray, labels_train, cfg: ProxyConfig) -> Proxy
 def evaluate_individual(ind: Individual, task, cfg: ProxyConfig) -> ObjectiveVector:
     """Evaluate one individual against a task's pool and split.
 
-    ``task`` must provide pool, labels, train_idx and val_idx (see
-    data.TaskData). Fusion overflow or single-class training labels mark
-    the individual failed with worst-case objectives (1, 1) instead of
-    aborting the generation. Stores the trained proxy on the individual.
+    ``task`` must provide pool, labels and n_train (see data.TaskData).
+    Fusion overflow marks the individual failed with worst-case
+    objectives (1, 1) instead of aborting the generation. Stores the
+    trained proxy on the individual.
     """
+    n = task.n_train
     try:
         fused = fuse_genotype(ind.genotype, task.pool)
-        model = train_head(fused[task.train_idx], task.labels[task.train_idx], cfg)
-    except (FusionOverflowError, DegenerateTaskError):
+        model = train_head(fused[:n], task.labels[:n], cfg)
+    except FusionOverflowError:
         ind.objectives = FAILURE_OBJECTIVES
         ind.proxy = None
         ind.failed = True
         return ind.objectives
-    probs = model.scores(fused[task.val_idx])
-    y_val = task.labels[task.val_idx]
+    probs = model.scores(fused[n:])
+    y_val = task.labels[n:]
     g1 = min(max(1.0 - auprc(probs, y_val), 0.0), 1.0)
     g2 = fpr(confusion(probs, y_val, DECISION_THRESHOLD))
     ind.objectives = ObjectiveVector(g1, g2)

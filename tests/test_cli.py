@@ -286,11 +286,10 @@ class TestEvolve:
     @pytest.mark.parametrize("flag", [(), ("--naive-mean",)], ids=["evolve", "naive-mean"])
     def test_single_class_training_split_is_data_error(self, workspace, capsys, flag):
         entry = read_manifest(workspace / "bench").tasks[1]
-        train_idx, _ = tail_split(entry.residues, entry.val_ratio)
+        n_train = tail_split(entry.residues, entry.val_ratio)
         labels_file = workspace / "bench" / entry.name / "labels.txt"
         labels = labels_file.read_text().split()
-        for i in train_idx:
-            labels[i] = "0"
+        labels[:n_train] = ["0"] * n_train
         labels_file.write_text("\n".join(labels) + "\n")
         capsys.readouterr()
         assert self.evolve(workspace, "runS", *flag) == 2

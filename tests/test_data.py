@@ -127,13 +127,10 @@ class TestFmat:
 
 class TestLabelsAndSplit:
     def test_tail_split_example(self):
-        train, val = tail_split(100, 0.25)
-        assert train.tolist() == list(range(75))
-        assert val.tolist() == list(range(75, 100))
+        assert tail_split(100, 0.25) == 75
 
     def test_split_rounds_up(self):
-        train, val = tail_split(10, 0.26)
-        assert val.size == 3
+        assert tail_split(10, 0.26) == 7
 
     def test_label_roundtrip(self, tmp_path, rng):
         labels = rng.integers(0, 2, 50).astype(np.int8)
@@ -233,8 +230,8 @@ class TestGenerator:
             cfg = SynthConfig(task_count=1, residues=60, feature_dim=4, positive_rate=0.05, seed=seed)
             manifest = generate_synthetic(cfg, tmp_path / f"s{seed}")
             task = load_task(manifest, 0)
-            assert task.labels[task.train_idx].any()
-            assert task.labels[task.val_idx].any()
+            assert task.labels[: task.n_train].any()
+            assert task.labels[task.n_train :].any()
 
     def test_manifest_contents(self, tmp_path):
         cfg = SynthConfig(task_count=3, residues=80, feature_dim=8, positive_rate=0.1, seed=2)
@@ -270,8 +267,8 @@ class TestGenerator:
         ind = Individual(1, 0, make_genotype(1))
         evaluate_individual(ind, task, ProxyConfig())
         achieved = 1.0 - ind.objectives.g1
-        y_val = task.labels[task.val_idx]
-        probs = ind.proxy.scores(np.asarray(task.pool[1][task.val_idx], dtype=np.float64))
+        y_val = task.labels[task.n_train :]
+        probs = ind.proxy.scores(np.asarray(task.pool[1][task.n_train :], dtype=np.float64))
         null = [auprc(probs, rng.permutation(y_val)) for _ in range(300)]
         lo, hi = np.quantile(null, [0.005, 0.995])
         assert lo <= achieved <= hi

@@ -124,8 +124,15 @@ class TestRunEvolution:
 
     def test_validation_rejects_broken_tasks(self, tmp_path):
         tasks = small_benchmark(tmp_path)
-        tasks[0].labels[tasks[0].val_idx] = 0
+        tasks[0].labels[tasks[0].n_train :] = 0
         with pytest.raises(ValueError):
+            run_evolution(tasks, EvoConfig(population_size=8, generations=1, seed=0), FAST_PROXY)
+
+    @pytest.mark.parametrize("n_train", [-5, 0, 240])
+    def test_training_row_count_outside_the_task_rejected(self, tmp_path, n_train):
+        tasks = small_benchmark(tmp_path)
+        tasks[1].n_train = n_train
+        with pytest.raises(ValueError, match=f"task task_01: training rows {n_train} outside 1 .. 239"):
             run_evolution(tasks, EvoConfig(population_size=8, generations=1, seed=0), FAST_PROXY)
 
     @pytest.mark.parametrize("label", [0, 1])
@@ -134,7 +141,7 @@ class TestRunEvolution:
         self, tmp_path, monkeypatch, label, run
     ):
         tasks = small_benchmark(tmp_path)
-        tasks[1].labels[tasks[1].train_idx] = label
+        tasks[1].labels[: tasks[1].n_train] = label
 
         def no_evaluation(*args):
             raise AssertionError("evaluated an individual before validating the tasks")
@@ -182,6 +189,37 @@ class TestWorkers:
         # one child for 2 workers, two for 3, per transfer setting
         assert len(children) == 6
         assert all(child.poll() is not None for child in children)
+
+    def test_heads_do_not_depend_on_worker_count_at_d128(self, tmp_path):
+        """OpenBLAS threads its reductions at this width, so the last bits
+        of a head depend on the BLAS thread count of the process that
+        trains it."""
+        synth = SynthConfig(task_count=2, residues=300, feature_dim=128, positive_rate=0.1,
+                            noise_scale=5.0, val_ratio=0.75, seed=1)
+        tasks = load_all_tasks(generate_synthetic(synth, tmp_path / "d128"))
+        cfg = EvoConfig(population_size=6, generations=2, seed=1)
+        one, two = (run_evolution(tasks, cfg, ProxyConfig(), workers=w) for w in (1, 2))
+        assert run_snapshot(two) == run_snapshot(one)
+        for a, b in zip(one.tasks, two.tasks):
+            for x, y in zip([a.strategy, *a.pareto], [b.strategy, *b.pareto]):
+                assert np.array_equal(x.proxy.coefficients, y.proxy.coefficients)
+                assert x.proxy.intercept == y.proxy.intercept
+
+    @pytest.mark.skipif(driver._OPENBLAS is None, reason="numpy does not bundle OpenBLAS")
+    def test_caller_blas_thread_count_is_restored(self, tmp_path):
+        get, set_ = driver._OPENBLAS
+        original = get()
+        tasks = small_benchmark(tmp_path)
+        cfg = EvoConfig(population_size=8, generations=1, seed=1)
+        try:
+            set_(2)
+            run_evolution(tasks, cfg, FAST_PROXY, workers=2)
+            assert get() == 2
+            with pytest.raises(WorkerError):
+                run_evolution(tasks, cfg, LocalProxyConfig(max_iter=150), workers=2)
+            assert get() == 2
+        finally:
+            set_(original)
 
     def test_worker_count_is_capped_at_the_task_count(self, tmp_path, children):
         tasks = small_benchmark(tmp_path, task_count=2)
@@ -293,8 +331,8 @@ class TestPredict:
         result = run_evolution(tasks, cfg, FAST_PROXY)
         for task, tr in zip(tasks, result.tasks):
             strategy = tr.strategy
-            probs = predict(strategy, task.pool)[task.val_idx]
-            y = task.labels[task.val_idx]
+            probs = predict(strategy, task.pool)[task.n_train :]
+            y = task.labels[task.n_train :]
             g1 = min(max(1.0 - auprc(probs, y), 0.0), 1.0)
             g2 = fpr(confusion(probs, y, 0.5))
             assert g1 == strategy.objectives.g1

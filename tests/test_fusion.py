@@ -179,6 +179,12 @@ class TestFuseGenotype:
         with pytest.raises(IndexError):
             fuse_genotype(make_genotype(0, 3), pool)
 
+    @pytest.mark.parametrize("genes", [(-1, 0), (0, -1), (1, -3)], ids=["first", "later", "below-length"])
+    def test_negative_pool_index(self, rng, genes):
+        pool = [rng.normal(size=(3, 4)), rng.normal(size=(3, 4))]
+        with pytest.raises(IndexError, match=r"pool index -\d+ outside pool of 2 entries"):
+            fuse_genotype(make_genotype(*genes), pool)
+
     def test_non_finite_input_raises(self):
         pool = [np.full((2, 2), np.nan), np.ones((2, 2))]
         with pytest.raises(FusionOverflowError):

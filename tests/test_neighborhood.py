@@ -29,7 +29,7 @@ def neighborhoods(pops, cfg):
 def image(nmap):
     """Comparable form of a neighborhood map."""
     return {
-        t: {i: [(e.elite.id, e.source_task, e.grade) for e in entries] for i, entries in m.items()}
+        t: {i: [(e.elite.id, e.elite.task, e.grade) for e in entries] for i, entries in m.items()}
         for t, m in nmap.items()
     }
 
@@ -146,7 +146,7 @@ class TestBuildNeighborhoods:
         nmap = neighborhoods(pops, self.cfg(elite_fraction=1.0, neighborhood_size=10))
         for entries in nmap[0].values():
             assert len(entries) == 2
-            assert all(e.source_task == 1 for e in entries)
+            assert all(e.elite.task == 1 for e in entries)
             grades = [e.grade for e in entries]
             assert grades == sorted(grades, reverse=True)
 
@@ -158,7 +158,7 @@ class TestBuildNeighborhoods:
         nmap = neighborhoods(pops, self.cfg(elite_fraction=0.5, neighborhood_size=3))
         for t in range(3):
             for entries in nmap[t].values():
-                assert all(e.source_task != t for e in entries)
+                assert all(e.elite.task != t for e in entries)
 
     def test_matches_exhaustive_oracle(self, rng):
         cfg = self.cfg(elite_fraction=1.0, neighborhood_size=3, grg_rho=0.25)
@@ -201,7 +201,7 @@ class TestBuildNeighborhoods:
         entries = nmap[0][0]
         # grade first (2001 is a copy of own), then source position, then id,
         # as test_matches_exhaustive_oracle sorts them
-        assert [(e.source_task, e.elite.id) for e in entries] == [
+        assert [(e.elite.task, e.elite.id) for e in entries] == [
             (2, 2001), (1, 5000), (1, 5001), (2, 2000), (2, 2002)
         ]
         assert entries[0].grade == 1.0

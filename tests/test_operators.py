@@ -281,8 +281,8 @@ class TestBatchDe:
 
 
 class TestGenerateOffspring:
-    def neighborhood_for(self, pop, elite, source=1):
-        entry = NeighborEntry(elite, source, 0.9)
+    def neighborhood_for(self, pop, elite):
+        entry = NeighborEntry(elite, 0.9)
         return {ind.id: [entry] for ind in pop.members}
 
     def test_no_variation_copies_first_parent(self):
@@ -296,7 +296,7 @@ class TestGenerateOffspring:
     def test_transfer_branch_provenance(self):
         pop = population([(0.2, 0.2), (0.4, 0.4), (0.6, 0.6), (0.8, 0.8)])
         elite = Individual(99, 1, make_genotype(5), objectives=ObjectiveVector(0.1, 0.1))
-        nbhd = self.neighborhood_for(pop, elite, source=1)
+        nbhd = self.neighborhood_for(pop, elite)
         cfg = EvoConfig(population_size=4, transfer_prob=1.0, crossover_prob=1.0, mutation_prob=0.0)
         hits = 0
         rng = np.random.default_rng(11)
@@ -322,7 +322,7 @@ class TestGenerateOffspring:
     def test_outputs_always_valid(self, rng):
         pop = population([(0.2, 0.2), (0.4, 0.4), (0.6, 0.6), (0.8, 0.8)], pool_size=9)
         elite = Individual(42, 2, make_genotype(8, 7), objectives=ObjectiveVector(0.1, 0.1))
-        nbhd = self.neighborhood_for(pop, elite, source=2)
+        nbhd = self.neighborhood_for(pop, elite)
         cfg = EvoConfig(population_size=4, max_feature_length=6)
         for _ in range(20_000):
             child, _ = generate_offspring(pop, nbhd, cfg, rng)

@@ -7,7 +7,6 @@ from evofusion.data import TaskData
 from evofusion.metrics import auprc
 from evofusion.model import Individual, ObjectiveVector, TaskDescriptor
 from evofusion.proxy import (
-    DegenerateTaskError,
     ProxyConfig,
     evaluate_individual,
     fit_focal_logistic,
@@ -182,13 +181,13 @@ class TestTrainer:
 
     def test_single_class_labels_raise(self, rng):
         X = rng.normal(size=(20, 3))
-        with pytest.raises(DegenerateTaskError):
+        with pytest.raises(ValueError, match="single class"):
             train_head(X, np.zeros(20, dtype=int), ProxyConfig())
 
     @pytest.mark.parametrize("labels", [[1] * 20, []], ids=["all-1", "empty"])
     def test_degenerate_labels_raise(self, rng, labels):
         X = rng.normal(size=(len(labels), 3))
-        with pytest.raises(DegenerateTaskError):
+        with pytest.raises(ValueError, match="single class"):
             train_head(X, np.array(labels, dtype=np.int8), ProxyConfig())
 
     def test_deterministic(self, rng):
@@ -212,7 +211,7 @@ def _toy_task(rng, signal: bool, L=160, d=6, pool_size=3, positive_rate=0.15):
     if signal:
         pool[0] = pool[0] * 0.1 + labels[:, None] * 3.0
     desc = TaskDescriptor("toy", 0, L, pool_size)
-    return TaskData(desc, pool, labels, np.arange(3 * L // 4), np.arange(3 * L // 4, L))
+    return TaskData(desc, pool, labels, 3 * L // 4)
 
 
 class TestEvaluateIndividual:
@@ -230,10 +229,10 @@ class TestEvaluateIndividual:
         ind = Individual(1, 0, make_genotype(0, (1, "add", 1.0, 1.0)))
         obj = evaluate_individual(ind, task, ProxyConfig())
         achieved = 1.0 - obj.g1
-        y_val = task.labels[task.val_idx]
+        y_val = task.labels[task.n_train :]
         probs = ind.proxy.scores(
             np.asarray(
-                (task.pool[0] + task.pool[1])[task.val_idx], dtype=np.float64
+                (task.pool[0] + task.pool[1])[task.n_train :], dtype=np.float64
             )
         )
         null = []
@@ -251,15 +250,16 @@ class TestEvaluateIndividual:
         assert oa == ob
         assert np.array_equal(a.proxy.coefficients, b.proxy.coefficients)
 
-    def test_single_class_training_marks_failure(self, rng):
+    def test_single_class_training_raises(self, rng):
+        """A single-class split is a task error, which the driver rejects
+        before any evaluation; it is not one individual's failure."""
         task = _toy_task(rng, signal=False)
         # wipe training positives; validation keeps one
-        task.labels[task.train_idx] = 0
-        task.labels[task.val_idx[0]] = 1
+        task.labels[: task.n_train] = 0
+        task.labels[task.n_train] = 1
         ind = Individual(1, 0, make_genotype(0))
-        obj = evaluate_individual(ind, task, ProxyConfig())
-        assert (obj.g1, obj.g2) == (1.0, 1.0)
-        assert ind.failed and ind.proxy is None
+        with pytest.raises(ValueError, match="single class"):
+            evaluate_individual(ind, task, ProxyConfig())
 
     def test_overflow_marks_failure(self, rng):
         task = _toy_task(rng, signal=False)
