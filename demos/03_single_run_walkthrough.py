@@ -40,19 +40,19 @@ for entry in manifest.tasks:
     )
 
 cfg = EvoConfig(population_size=14, generations=10, seed=4)
-result = run_evolution(tasks, cfg, ProxyConfig(max_iter=150))
+results = run_evolution(tasks, cfg, ProxyConfig(max_iter=150))
 
 print("\n=== best validation AUPRC per generation ===")
-header = "gen  " + "  ".join(f"{tr.task_name:>8}" for tr in result.tasks)
+header = "gen  " + "  ".join(f"{tr.population.task.name:>8}" for tr in results)
 print(header)
-initial = [f"{1 - tr.initial_best.g1:8.3f}" for tr in result.tasks]
+initial = [f"{1 - tr.initial_best.g1:8.3f}" for tr in results]
 print("  0  " + "  ".join(initial))
 for g in range(cfg.generations):
-    row = [f"{1 - tr.history[g].best_g1:8.3f}" for tr in result.tasks]
+    row = [f"{1 - tr.history[g].best_g1:8.3f}" for tr in results]
     print(f"{g + 1:3d}  " + "  ".join(row))
 
-tr = result.tasks[0]
-print(f"\n=== final Pareto front of {tr.task_name} ===")
+tr = results[0]
+print(f"\n=== final Pareto front of {tr.population.task.name} ===")
 for ind in tr.pareto:
     genes = [(g.pool_index, g.op) for g in ind.genotype.genes]
     print(f"  auprc={1 - ind.objectives.g1:.3f} fpr={ind.objectives.g2:.3f} genes={genes}")

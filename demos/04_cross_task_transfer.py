@@ -39,18 +39,19 @@ with_enm = run_evolution(tasks, cfg, proxy)
 without = run_evolution(tasks, replace(cfg, transfer_prob=0.0), proxy)
 
 print("=== best validation AUPRC, with vs without neighborhoods ===")
-print("gen   " + "   ".join(f"{tr.task_name}(on/off)" for tr in with_enm.tasks))
+print("gen   " + "   ".join(f"{tr.population.task.name}(on/off)" for tr in with_enm))
 for g in range(cfg.generations):
     cells = []
-    for on, off in zip(with_enm.tasks, without.tasks):
+    for on, off in zip(with_enm, without):
         cells.append(f"{1 - on.history[g].best_g1:.2f}/{1 - off.history[g].best_g1:.2f}")
     print(f"{g + 1:3d}   " + "      ".join(cells))
 
 print("\n=== interaction intensity: second parents drawn per source task ===")
-names = [tr.task_name for tr in with_enm.tasks]
-for tr in with_enm.tasks:
-    print(f"\noffspring of {tr.task_name} borrowed from:")
-    others = [n for n in names if n != tr.task_name]
+names = [tr.population.task.name for tr in with_enm]
+for tr in with_enm:
+    name = tr.population.task.name
+    print(f"\noffspring of {name} borrowed from:")
+    others = [n for n in names if n != name]
     print("gen   " + "  ".join(f"{n:>8}" for n in others))
     for stat in tr.history:
         counts = [stat.transfers.get(names.index(n), 0) for n in others]

@@ -59,7 +59,7 @@ task_dir = workdir / "bench" / entry.name
 n_val = -(-entry.residues // 4)  # ceil of the 25% default
 val_dir = workdir / "valpool"
 val_dir.mkdir()
-for i in range(manifest.descriptor(0).pool_size):
+for i in range(2 * manifest.task_count - 1):
     write_fmat(read_fmat(task_dir / f"pool_{i}.fmat")[-n_val:], val_dir / f"pool_{i}.fmat")
 labels = (task_dir / "labels.txt").read_text().splitlines()
 (workdir / "val_labels.txt").write_text("".join(f"{v}\n" for v in labels[-n_val:]))

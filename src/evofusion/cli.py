@@ -121,10 +121,10 @@ def _metrics(scores: np.ndarray, labels: np.ndarray) -> dict[str, float]:
 
 
 def _write_outputs(out_dir: Path, tasks: list[TaskData], results: list[TaskResult]) -> None:
-    task_names = [t.descriptor.name for t in tasks]
+    task_names = [t.name for t in tasks]
     summary_lines: list[str] = []
     for task, result in zip(tasks, results):
-        name = result.task_name
+        name = task.name
         with open(out_dir / f"pareto.{name}.out", "w", encoding="utf-8") as fh:
             for ind in result.pareto:
                 fh.write(
@@ -144,7 +144,7 @@ def _write_outputs(out_dir: Path, tasks: list[TaskData], results: list[TaskResul
             result.strategy,
             name,
             task.pool[0].shape[1],
-            task.descriptor.pool_size,
+            len(task.pool),
         )
         others = [n for n in task_names if n != name]
         with open(out_dir / f"history.{name}.csv", "w", encoding="utf-8", newline="") as fh:
@@ -190,10 +190,10 @@ def cmd_evolve(args) -> int:
     # made before the search, so an unusable --out costs no search time
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.naive_mean:
-        run = run_naive_mean(tasks, proxy_cfg)
+        results = run_naive_mean(tasks, proxy_cfg)
     else:
-        run = run_evolution(tasks, evo_cfg, proxy_cfg, workers=args.threads)
-    _write_outputs(out_dir, tasks, run.tasks)
+        results = run_evolution(tasks, evo_cfg, proxy_cfg, workers=args.threads)
+    _write_outputs(out_dir, tasks, results)
     print(f"results written to {args.out}")
     return 0
 

@@ -36,14 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .fusion import Standardizer
-from .model import (
-    FusionGene,
-    Genotype,
-    Individual,
-    ObjectiveVector,
-    TaskDescriptor,
-    map_pool_index,
-)
+from .model import FusionGene, Genotype, Individual, ObjectiveVector, map_pool_index
 from .proxy import ProxyModel
 
 FMAT_MAGIC = b"FMAT1\x00"
@@ -126,15 +119,6 @@ class PoolManifest:
     @property
     def task_count(self) -> int:
         return len(self.tasks)
-
-    def descriptor(self, position: int) -> TaskDescriptor:
-        entry = self.tasks[position]
-        return TaskDescriptor(
-            name=entry.name,
-            position=position,
-            residue_count=entry.residues,
-            pool_size=2 * self.task_count - 1,
-        )
 
 
 def _validate_manifest(manifest: PoolManifest) -> None:
@@ -251,9 +235,10 @@ def write_labels(labels: np.ndarray, path) -> None:
 @dataclass(eq=False)
 class TaskData:
     """Everything the optimizer needs for one task. The first
-    ``n_train`` rows train and the rest validate."""
+    ``n_train`` rows train and the rest validate. A run numbers its
+    tasks by their index in the list it is given."""
 
-    descriptor: TaskDescriptor
+    name: str
     pool: list[np.ndarray]
     labels: np.ndarray
     n_train: int
@@ -285,11 +270,10 @@ def read_pool_dir(pool_dir, size: int, columns: int, rows: int | None = None) ->
 def load_task(manifest: PoolManifest, task_position: int) -> TaskData:
     """Load one task's pool, labels and deterministic split."""
     entry = manifest.tasks[task_position]
-    descriptor = manifest.descriptor(task_position)
     task_dir = manifest.root / entry.name
-    pool = read_pool_dir(task_dir, descriptor.pool_size, entry.feature_dim, entry.residues)
+    pool = read_pool_dir(task_dir, 2 * manifest.task_count - 1, entry.feature_dim, entry.residues)
     labels = read_labels(task_dir / "labels.txt", entry.residues)
-    return TaskData(descriptor, pool, labels, tail_split(entry.residues, entry.val_ratio))
+    return TaskData(entry.name, pool, labels, tail_split(entry.residues, entry.val_ratio))
 
 
 def load_all_tasks(manifest: PoolManifest) -> list[TaskData]:

@@ -33,6 +33,7 @@ from .model import (
     Genotype,
     Individual,
     ObjectiveVector,
+    TaskDescriptor,
     TaskPopulation,
     random_genotype,
 )
@@ -57,18 +58,11 @@ class GenerationStats:
 
 @dataclass(eq=False)
 class TaskResult:
-    task_name: str
-    task_position: int
     population: TaskPopulation
     pareto: list[Individual]
     strategy: Individual
     initial_best: ObjectiveVector
     history: list[GenerationStats]
-
-
-@dataclass(eq=False)
-class RunResult:
-    tasks: list[TaskResult]
 
 
 def _task_rng(seed: int, position: int) -> np.random.Generator:
@@ -87,31 +81,31 @@ def _population_stats(pop: TaskPopulation, generation: int, transfers) -> Genera
     )
 
 
-def _validate_tasks(tasks: list[TaskData]) -> None:
+def _validate_tasks(tasks: list[TaskData]) -> list[TaskDescriptor]:
+    """Check every task and describe each by its index in ``tasks``."""
     if not tasks:
         raise ValueError("need at least one task")
     pool_size = 2 * len(tasks) - 1
     for task in tasks:
-        d = task.descriptor
+        name, rows = task.name, task.labels.size
         if len(task.pool) != pool_size:
-            raise ValueError(f"task {d.name}: expected {pool_size} pool entries")
+            raise ValueError(f"task {name}: expected {pool_size} pool entries")
         shapes = {entry.shape for entry in task.pool}
         if len(shapes) != 1:
-            raise ValueError(f"task {d.name}: pool entries disagree on shape: {shapes}")
+            raise ValueError(f"task {name}: pool entries disagree on shape: {shapes}")
         (shape,) = shapes
-        if shape[0] != d.residue_count:
-            raise ValueError(f"task {d.name}: pool rows {shape[0]} != residues {d.residue_count}")
-        if task.labels.shape != (d.residue_count,):
-            raise ValueError(f"task {d.name}: label length mismatch")
+        if task.labels.ndim != 1 or shape[0] != rows:
+            raise ValueError(f"task {name}: {shape[0]} pool rows but labels of shape {task.labels.shape}")
         if not ((task.labels == 0) | (task.labels == 1)).all():
-            raise ValueError(f"task {d.name}: labels must be 0/1")
-        if not 0 < task.n_train < d.residue_count:
-            raise ValueError(f"task {d.name}: training rows {task.n_train} outside 1 .. {d.residue_count - 1}")
+            raise ValueError(f"task {name}: labels must be 0/1")
+        if not 0 < task.n_train < rows:
+            raise ValueError(f"task {name}: training rows {task.n_train} outside 1 .. {rows - 1}")
         if not task.labels[task.n_train:].any():
-            raise ValueError(f"task {d.name}: validation split has no positives")
+            raise ValueError(f"task {name}: validation split has no positives")
         train = task.labels[: task.n_train]
         if not train.any() or train.all():
-            raise ValueError(f"task {d.name}: training split needs both classes")
+            raise ValueError(f"task {name}: training split needs both classes")
+    return [TaskDescriptor(task.name, i, len(task.pool)) for i, task in enumerate(tasks)]
 
 
 def _pareto_front(pop: TaskPopulation) -> list[Individual]:
@@ -124,8 +118,6 @@ def _task_result(
 ) -> TaskResult:
     pareto = _pareto_front(pop)
     return TaskResult(
-        task_name=pop.task.name,
-        task_position=pop.task.position,
         population=pop,
         pareto=pareto,
         strategy=select_strategy(pareto),
@@ -164,33 +156,31 @@ def naive_mean_genotype(pool_size: int) -> Genotype:
     return Genotype(tuple(genes))
 
 
-def run_naive_mean(tasks: list[TaskData], proxy_cfg: ProxyConfig) -> RunResult:
+def run_naive_mean(tasks: list[TaskData], proxy_cfg: ProxyConfig) -> list[TaskResult]:
     """Evaluate the naive-mean baseline on every task, without evolution.
 
     Each task's population, Pareto set and strategy are the one naive-mean
     individual, and its history is empty. Raises ValueError when a task
     fails the checks of run_evolution or its evaluation fails.
     """
-    _validate_tasks(tasks)
     results = []
-    for task in tasks:
-        d = task.descriptor
+    for d, task in zip(_validate_tasks(tasks), tasks):
         ind = Individual(d.position * ID_STRIDE, d.position, naive_mean_genotype(d.pool_size))
         evaluate_individual(ind, task, proxy_cfg)
         if ind.failed:
             raise ValueError(f"naive mean evaluation failed on task {d.name}")
         results.append(_task_result(TaskPopulation(d, [ind]), ind.objectives, []))
-    return RunResult(results)
+    return results
 
 
 class _TaskState:
     """Mutable per-task evolution state."""
 
-    def __init__(self, task: TaskData, cfg: EvoConfig):
+    def __init__(self, d: TaskDescriptor, task: TaskData, cfg: EvoConfig):
         self.task = task
-        self.rng = _task_rng(cfg.seed, task.descriptor.position)
-        self.next_id = task.descriptor.position * ID_STRIDE
-        self.population = TaskPopulation(task.descriptor, [])
+        self.rng = _task_rng(cfg.seed, d.position)
+        self.next_id = d.position * ID_STRIDE
+        self.population = TaskPopulation(d, [])
         # evaluation is a pure function of the genotype, so identical
         # genotypes (crossover copies, DE no-ops) reuse their result
         self.eval_cache: dict[Genotype, tuple] = {}
@@ -209,13 +199,14 @@ class _TaskState:
 
 
 def _init_task(state: _TaskState, cfg: EvoConfig, proxy_cfg: ProxyConfig) -> None:
+    d = state.population.task
     members = []
     for _ in range(cfg.population_size):
-        genotype = random_genotype(state.rng, state.task.descriptor.pool_size, cfg.max_feature_length)
-        ind = Individual(state.take_id(), state.task.descriptor.position, genotype)
+        genotype = random_genotype(state.rng, d.pool_size, cfg.max_feature_length)
+        ind = Individual(state.take_id(), d.position, genotype)
         state.evaluate(ind, proxy_cfg)
         members.append(ind)
-    state.population = TaskPopulation(state.task.descriptor, members)
+    state.population = TaskPopulation(d, members)
 
 
 def _advance_task(
@@ -282,7 +273,7 @@ def _one_blas_thread():
 
 
 def _run_share(
-    tasks: list[TaskData],
+    share: list[tuple[TaskDescriptor, TaskData]],
     cfg: EvoConfig,
     proxy_cfg: ProxyConfig,
     exchange: Callable[[list[Individual]], list[Individual]],
@@ -293,7 +284,7 @@ def _run_share(
     ``exchange`` returns every task's elites in task-position order.
     """
     with _one_blas_thread():
-        states = [_TaskState(task, cfg) for task in tasks]
+        states = [_TaskState(d, task, cfg) for d, task in share]
         for state in states:
             _init_task(state, cfg, proxy_cfg)
         initial_best = [min((ind.objectives for ind in s.population.members), key=tuple) for s in states]
@@ -303,7 +294,7 @@ def _run_share(
             pops = [s.population for s in states]
             nmap = build_neighborhoods(exchange(publish_elites(pops, cfg)), pops, cfg)
             for state, history in zip(states, histories):
-                neighborhood = nmap[state.task.descriptor.position]
+                neighborhood = nmap[state.population.task.position]
                 history.append(_advance_task(state, neighborhood, Z, generation, cfg, proxy_cfg))
         return [_task_result(s.population, best, h) for s, best, h in zip(states, initial_best, histories)]
 
@@ -320,8 +311,10 @@ class _Worker:
     elites, its results or its error up. Its stdout and stderr are the
     caller's."""
 
-    def __init__(self, index: int, tasks: list[TaskData], cfg: EvoConfig, proxy_cfg: ProxyConfig):
-        names = ", ".join(task.descriptor.name for task in tasks)
+    def __init__(
+        self, index: int, share: list[tuple[TaskDescriptor, TaskData]], cfg: EvoConfig, proxy_cfg: ProxyConfig
+    ):
+        names = ", ".join(d.name for d, _ in share)
         self.label = f"worker {index} (tasks {names})"
         env = dict(os.environ)
         if _OPENBLAS is not None:
@@ -330,7 +323,7 @@ class _Worker:
             env["OPENBLAS_NUM_THREADS"] = "1"
         env["PYTHONPATH"] = os.pathsep.join(filter(None, (_SOURCE_ROOT, env.get("PYTHONPATH"))))
         with tempfile.TemporaryFile() as setup:
-            pickle.dump((tasks, cfg, proxy_cfg), setup, protocol=pickle.HIGHEST_PROTOCOL)
+            pickle.dump((share, cfg, proxy_cfg), setup, protocol=pickle.HIGHEST_PROTOCOL)
             setup.seek(0)
             ours, theirs = socket.socketpair()
             with theirs:
@@ -402,8 +395,8 @@ def _serve(fd: int) -> None:
             return pickle.load(channel)
 
         try:
-            tasks, cfg, proxy_cfg = pickle.load(sys.stdin.buffer)
-            results = _run_share(tasks, cfg, proxy_cfg, exchange)
+            share, cfg, proxy_cfg = pickle.load(sys.stdin.buffer)
+            results = _run_share(share, cfg, proxy_cfg, exchange)
         except BaseException as exc:  # reported to the caller; the child then exits
             try:
                 send(True, f"{type(exc).__name__}: {exc}")
@@ -415,8 +408,9 @@ def _serve(fd: int) -> None:
 
 def run_evolution(
     tasks: list[TaskData], cfg: EvoConfig, proxy_cfg: ProxyConfig, workers: int = 1
-) -> RunResult:
-    """Run the full multi-task search and return per-task results.
+) -> list[TaskResult]:
+    """Run the full multi-task search and return one result per task,
+    in the order of ``tasks``.
 
     Deterministic given cfg.seed: tasks only interact at the generation
     barrier where neighborhoods are rebuilt from all populations, so the
@@ -428,11 +422,11 @@ def run_evolution(
     when no task publishes any. A worker that fails ends the run with
     WorkerError, an OSError.
     """
-    _validate_tasks(tasks)
+    described = list(zip(_validate_tasks(tasks), tasks))
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     count = min(workers, len(tasks))
-    shares = [tasks[w::count] for w in range(count)]
+    shares = [described[w::count] for w in range(count)]
     children: list[_Worker] = []
     done = False
     try:
@@ -456,4 +450,4 @@ def run_evolution(
     finally:
         for child in children:
             child.stop(kill=not done)
-    return RunResult(results)
+    return results

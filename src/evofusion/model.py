@@ -27,20 +27,12 @@ KIND_AUX = "aux_for"
 
 @dataclass(frozen=True)
 class TaskDescriptor:
-    """One task in the fixed lexicographic task order."""
+    """One task of a run: its name, its index in the run's task list and
+    the size of its pool. The driver builds these from the task list."""
 
     name: str
     position: int
-    residue_count: int
     pool_size: int
-
-    def __post_init__(self):
-        if self.position < 0:
-            raise ValueError(f"negative task position {self.position}")
-        if self.residue_count < 1:
-            raise ValueError("residue_count must be >= 1")
-        if self.pool_size < 1 or self.pool_size % 2 == 0:
-            raise ValueError(f"pool_size must be 2*T-1, got {self.pool_size}")
 
 
 @dataclass(frozen=True)

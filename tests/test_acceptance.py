@@ -221,9 +221,9 @@ def test_criterion_07_synthetic_convergence(tmp_path):
         tasks = load_all_tasks(manifest)
         evo = EvoConfig(population_size=20, generations=15, seed=3)
         result = run_evolution(tasks, evo, ProxyConfig())
-        for tr in result.tasks:
+        for tr in result:
             best_auprc = 1.0 - min(m.objectives.g1 for m in tr.population.members)
-            assert best_auprc >= 0.90, f"{tr.task_name}: best AUPRC {best_auprc:.3f}"
+            assert best_auprc >= 0.90, f"{tr.population.task.name}: best AUPRC {best_auprc:.3f}"
         elapsed = time.monotonic() - start
         assert elapsed < 120.0, f"took {elapsed:.1f}s"
 
@@ -232,7 +232,7 @@ def _first_reach_mean(result, gmax, thr=0.85):
     """Mean over tasks of the first generation whose best validation
     AUPRC reaches thr (0 = initial population, gmax+1 = never)."""
     gens = []
-    for tr in result.tasks:
+    for tr in result:
         if 1.0 - tr.initial_best.g1 >= thr:
             gens.append(0)
             continue

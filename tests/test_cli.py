@@ -307,7 +307,7 @@ class TestPredictEval:
         n_val = -(-entry.residues * 25 // 100)  # ceil at the default 0.25
         val_dir = workspace / "valpool"
         val_dir.mkdir()
-        for i in range(manifest.descriptor(0).pool_size):
+        for i in range(2 * manifest.task_count - 1):
             matrix = read_fmat(task_dir / f"pool_{i}.fmat")
             write_fmat(matrix[-n_val:], val_dir / f"pool_{i}.fmat")
         labels = (task_dir / "labels.txt").read_text().splitlines()

@@ -301,7 +301,7 @@ class TestManifestAndLoad:
         manifest = read_manifest(root)
         task = load_task(manifest, 7)
         assert len(task.pool) == 29
-        assert task.descriptor.pool_size == 29
+        assert task.name == "task_07"
 
     def test_load_validates_pool_shape(self, tmp_path):
         root = self.build(tmp_path)

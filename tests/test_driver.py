@@ -16,7 +16,7 @@ from evofusion.driver import (
     select_strategy,
 )
 from evofusion.fusion import Standardizer
-from evofusion.model import Individual, ObjectiveVector
+from evofusion.model import Individual, ObjectiveVector, TaskDescriptor
 from evofusion.operators import EvoConfig
 from evofusion.proxy import ProxyConfig, ProxyModel
 
@@ -42,10 +42,10 @@ def small_benchmark(tmp_path, seed=40, task_count=3, noise=2.5, name="bench"):
 def run_snapshot(result):
     """Comparable deep image of a run: populations, objectives, history."""
     image = []
-    for tr in result.tasks:
+    for tr in result:
         image.append(
             (
-                tr.task_name,
+                tr.population.task.name,
                 [(i.id, i.genotype, i.objectives.g1, i.objectives.g2) for i in tr.population.members],
                 [(i.id, i.genotype) for i in tr.pareto],
                 tr.strategy.id,
@@ -61,7 +61,7 @@ class TestRunEvolution:
         tasks = small_benchmark(tmp_path)
         cfg = EvoConfig(population_size=8, generations=0, seed=1)
         result = run_evolution(tasks, cfg, FAST_PROXY)
-        for tr in result.tasks:
+        for tr in result:
             assert tr.history == []
             assert len(tr.population.members) == 8
             assert tr.pareto
@@ -80,7 +80,7 @@ class TestRunEvolution:
         tasks = small_benchmark(tmp_path)
         cfg = EvoConfig(population_size=8, generations=6, seed=2)
         result = run_evolution(tasks, cfg, FAST_PROXY)
-        for tr in result.tasks:
+        for tr in result:
             assert [s.generation for s in tr.history] == list(range(1, 7))
             assert len(tr.population.members) == 8
 
@@ -88,7 +88,7 @@ class TestRunEvolution:
         tasks = small_benchmark(tmp_path, seed=41)
         cfg = EvoConfig(population_size=10, generations=6, seed=3)
         result = run_evolution(tasks, cfg, FAST_PROXY)
-        for tr in result.tasks:
+        for tr in result:
             best_trace = [tr.initial_best.g1] + [s.best_g1 for s in tr.history]
             assert all(b <= a + 1e-15 for a, b in zip(best_trace, best_trace[1:]))
 
@@ -96,31 +96,31 @@ class TestRunEvolution:
         tasks = small_benchmark(tmp_path, seed=42, task_count=4)
         cfg = EvoConfig(population_size=20, generations=15, seed=7)
         result = run_evolution(tasks, cfg, FAST_PROXY)
-        improved = sum(1 for tr in result.tasks if tr.history[-1].best_g1 < tr.initial_best.g1)
+        improved = sum(1 for tr in result if tr.history[-1].best_g1 < tr.initial_best.g1)
         assert improved >= 3
 
     def test_transfer_counts_zero_without_enm(self, tmp_path):
         tasks = small_benchmark(tmp_path)
         cfg = EvoConfig(population_size=8, generations=3, seed=1, transfer_prob=0.0)
         result = run_evolution(tasks, cfg, FAST_PROXY)
-        for tr in result.tasks:
+        for tr in result:
             assert all(not s.transfers for s in tr.history)
 
     def test_transfer_counts_zero_for_single_task(self, tmp_path):
         tasks = small_benchmark(tmp_path, task_count=1)
         cfg = EvoConfig(population_size=8, generations=3, seed=1)
         result = run_evolution(tasks, cfg, FAST_PROXY)
-        assert all(not s.transfers for s in result.tasks[0].history)
+        assert all(not s.transfers for s in result[0].history)
 
     def test_transfers_recorded_with_enm(self, tmp_path):
         tasks = small_benchmark(tmp_path)
         cfg = EvoConfig(population_size=10, generations=5, seed=1, transfer_prob=0.9)
         result = run_evolution(tasks, cfg, FAST_PROXY)
-        total = sum(sum(s.transfers.values()) for tr in result.tasks for s in tr.history)
+        total = sum(sum(s.transfers.values()) for tr in result for s in tr.history)
         assert total > 0
-        for tr in result.tasks:
+        for tr in result:
             for s in tr.history:
-                assert tr.task_position not in s.transfers
+                assert tr.population.task.position not in s.transfers
 
     def test_validation_rejects_broken_tasks(self, tmp_path):
         tasks = small_benchmark(tmp_path)
@@ -181,10 +181,10 @@ class TestWorkers:
             runs = [run_evolution(tasks, cfg, FAST_PROXY, workers=w) for w in (1, 2, 3)]
             for run in runs[1:]:
                 assert run_snapshot(run) == run_snapshot(runs[0])
-                for a, b in zip(run.tasks, runs[0].tasks):
+                for a, b in zip(run, runs[0]):
                     assert np.array_equal(a.strategy.proxy.coefficients, b.strategy.proxy.coefficients)
                     assert a.strategy.proxy.intercept == b.strategy.proxy.intercept
-            transfers = sum(sum(s.transfers.values()) for tr in runs[0].tasks for s in tr.history)
+            transfers = sum(sum(s.transfers.values()) for tr in runs[0] for s in tr.history)
             assert (transfers > 0) == (transfer_prob > 0)
         # one child for 2 workers, two for 3, per transfer setting
         assert len(children) == 6
@@ -200,7 +200,7 @@ class TestWorkers:
         cfg = EvoConfig(population_size=6, generations=2, seed=1)
         one, two = (run_evolution(tasks, cfg, ProxyConfig(), workers=w) for w in (1, 2))
         assert run_snapshot(two) == run_snapshot(one)
-        for a, b in zip(one.tasks, two.tasks):
+        for a, b in zip(one, two):
             for x, y in zip([a.strategy, *a.pareto], [b.strategy, *b.pareto]):
                 assert np.array_equal(x.proxy.coefficients, y.proxy.coefficients)
                 assert x.proxy.intercept == y.proxy.intercept
@@ -329,7 +329,7 @@ class TestPredict:
         tasks = small_benchmark(tmp_path)
         cfg = EvoConfig(population_size=8, generations=3, seed=9)
         result = run_evolution(tasks, cfg, FAST_PROXY)
-        for task, tr in zip(tasks, result.tasks):
+        for task, tr in zip(tasks, result):
             strategy = tr.strategy
             probs = predict(strategy, task.pool)[task.n_train :]
             y = task.labels[task.n_train :]
@@ -346,7 +346,7 @@ class TestPredict:
         holdout_tasks = small_benchmark(tmp_path, seed=51, noise=1.0, name="holdout")
         cfg = EvoConfig(population_size=10, generations=5, seed=4)
         result = run_evolution(train_tasks, cfg, FAST_PROXY)
-        tr = result.tasks[0]
+        tr = result[0]
         holdout = holdout_tasks[0]
         probs = predict(tr.strategy, holdout.pool)
         assert auprc(probs, holdout.labels) >= 0.9
@@ -368,16 +368,16 @@ class TestNaiveMean:
 
     def test_evaluates_cleanly(self, tmp_path):
         tasks = small_benchmark(tmp_path, noise=1.0)
-        ind = run_naive_mean(tasks, FAST_PROXY).tasks[0].strategy
+        ind = run_naive_mean(tasks, FAST_PROXY)[0].strategy
         assert ind.objectives is not None and not ind.failed
         assert len(ind.genotype) == 5
 
     def test_run_result_holds_the_one_individual(self, tmp_path):
         tasks = small_benchmark(tmp_path, noise=1.0)
         result = run_naive_mean(tasks, FAST_PROXY)
-        for task, tr in zip(tasks, result.tasks):
+        for position, (task, tr) in enumerate(zip(tasks, result)):
             assert tr.population.members == tr.pareto == [tr.strategy]
-            assert tr.population.task == task.descriptor
+            assert tr.population.task == TaskDescriptor(task.name, position, 5)
             assert tr.initial_best == tr.strategy.objectives
             assert tr.history == []
 

@@ -35,7 +35,7 @@ def image(nmap):
 
 
 def population(task, genotypes, g1_values=None, pool_size=7):
-    desc = TaskDescriptor(f"task_{task:02d}", task, 100, pool_size)
+    desc = TaskDescriptor(f"task_{task:02d}", task, pool_size)
     members = []
     for i, g in enumerate(genotypes):
         g1 = g1_values[i] if g1_values else 0.1 * (i + 1)
@@ -115,7 +115,7 @@ class TestSelectElites:
         assert all(worst_elite <= o.objectives.g1 for o in others)
 
     def test_tie_break_by_g2_then_id(self):
-        desc = TaskDescriptor("task_00", 0, 100, 7)
+        desc = TaskDescriptor("task_00", 0, 7)
         members = [
             Individual(3, 0, make_genotype(0), objectives=ObjectiveVector(0.5, 0.2)),
             Individual(1, 0, make_genotype(1), objectives=ObjectiveVector(0.5, 0.1)),

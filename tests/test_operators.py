@@ -28,7 +28,7 @@ from oracles import scan_batch_de
 
 
 def population(pairs, pool_size=7, task=0):
-    desc = TaskDescriptor(f"task_{task:02d}", task, 100, pool_size)
+    desc = TaskDescriptor(f"task_{task:02d}", task, pool_size)
     members = [
         Individual(i, task, make_genotype(i % pool_size), objectives=ObjectiveVector(a, b))
         for i, (a, b) in enumerate(pairs)
@@ -64,7 +64,7 @@ class TestTournament:
         assert tournament(pop2, 2, ScriptedRng(ints=[1, 0])).id == 0
 
     def test_empty_population(self):
-        desc = TaskDescriptor("task_00", 0, 10, 3)
+        desc = TaskDescriptor("task_00", 0, 3)
         with pytest.raises(ValueError):
             tournament(TaskPopulation(desc, []), 2, np.random.default_rng(0))
 

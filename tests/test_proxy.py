@@ -5,7 +5,7 @@ import pytest
 
 from evofusion.data import TaskData
 from evofusion.metrics import auprc
-from evofusion.model import Individual, ObjectiveVector, TaskDescriptor
+from evofusion.model import Individual, ObjectiveVector
 from evofusion.proxy import (
     ProxyConfig,
     evaluate_individual,
@@ -210,8 +210,7 @@ def _toy_task(rng, signal: bool, L=160, d=6, pool_size=3, positive_rate=0.15):
     pool = [rng.normal(size=(L, d)) for _ in range(pool_size)]
     if signal:
         pool[0] = pool[0] * 0.1 + labels[:, None] * 3.0
-    desc = TaskDescriptor("toy", 0, L, pool_size)
-    return TaskData(desc, pool, labels, 3 * L // 4)
+    return TaskData("toy", pool, labels, 3 * L // 4)
 
 
 class TestEvaluateIndividual:
