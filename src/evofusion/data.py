@@ -133,6 +133,10 @@ def _validate_manifest(manifest: PoolManifest) -> None:
             raise ValueError(f"task name {entry.name!r} is not a plain directory name")
         if not 0.0 < entry.val_ratio < 1.0:
             raise ValueError(f"task {entry.name}: val_ratio must lie in (0, 1)")
+        try:
+            tail_split(entry.residues, entry.val_ratio)
+        except ValueError as exc:
+            raise ValueError(f"task {entry.name}: {exc}") from None
 
 
 def write_manifest(manifest: PoolManifest) -> Path:

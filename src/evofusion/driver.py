@@ -94,6 +94,8 @@ def _validate_tasks(tasks: list[TaskData]) -> list[TaskDescriptor]:
         if len(shapes) != 1:
             raise ValueError(f"task {name}: pool entries disagree on shape: {shapes}")
         (shape,) = shapes
+        if len(shape) != 2:
+            raise ValueError(f"task {name}: pool entries must be 2-D, got shape {shape}")
         if task.labels.ndim != 1 or shape[0] != rows:
             raise ValueError(f"task {name}: {shape[0]} pool rows but labels of shape {task.labels.shape}")
         if not ((task.labels == 0) | (task.labels == 1)).all():
@@ -160,16 +162,18 @@ def run_naive_mean(tasks: list[TaskData], proxy_cfg: ProxyConfig) -> list[TaskRe
     """Evaluate the naive-mean baseline on every task, without evolution.
 
     Each task's population, Pareto set and strategy are the one naive-mean
-    individual, and its history is empty. Raises ValueError when a task
-    fails the checks of run_evolution or its evaluation fails.
+    individual, and its history is empty. Like the search, it runs on one
+    BLAS thread. Raises ValueError when a task fails the checks of
+    run_evolution or its evaluation fails.
     """
     results = []
-    for d, task in zip(_validate_tasks(tasks), tasks):
-        ind = Individual(d.position * ID_STRIDE, d.position, naive_mean_genotype(d.pool_size))
-        evaluate_individual(ind, task, proxy_cfg)
-        if ind.failed:
-            raise ValueError(f"naive mean evaluation failed on task {d.name}")
-        results.append(_task_result(TaskPopulation(d, [ind]), ind.objectives, []))
+    with _one_blas_thread():
+        for d, task in zip(_validate_tasks(tasks), tasks):
+            ind = Individual(d.position * ID_STRIDE, d.position, naive_mean_genotype(d.pool_size))
+            evaluate_individual(ind, task, proxy_cfg)
+            if ind.failed:
+                raise ValueError(f"naive mean evaluation failed on task {d.name}")
+            results.append(_task_result(TaskPopulation(d, [ind]), ind.objectives, []))
     return results
 
 

@@ -360,10 +360,12 @@ class TestManifestAndLoad:
             lambda doc: doc["entries"]["task_00"].update(feature_dim="4"),
             lambda doc: doc["entries"]["task_00"].update(val_ratio="0.25"),
             lambda doc: doc["entries"]["task_00"].update(informative_indices=[True]),
+            lambda doc: doc["entries"]["task_01"].update(residues=0),
+            lambda doc: doc["entries"]["task_01"].update(val_ratio=0.999),
         ],
         ids=["no-entries", "entries-list", "tasks-string", "entry-list", "no-residues",
              "residues-text", "residues-fraction", "residues-true", "feature-dim-text",
-             "val-ratio-text", "informative-true"],
+             "val-ratio-text", "informative-true", "residues-zero", "val-ratio-empty-split"],
     )
     def test_malformed_manifest_names_its_path(self, tmp_path, corrupt):
         root = self.build(tmp_path)

@@ -128,6 +128,20 @@ class TestRunEvolution:
         with pytest.raises(ValueError):
             run_evolution(tasks, EvoConfig(population_size=8, generations=1, seed=0), FAST_PROXY)
 
+    def test_one_dimensional_pool_entries_rejected(self, tmp_path):
+        tasks = small_benchmark(tmp_path)
+        tasks[2].pool = [entry[:, 0].copy() for entry in tasks[2].pool]
+        with pytest.raises(ValueError, match=r"task task_02: pool entries must be 2-D, got shape \(240,\)"):
+            run_evolution(tasks, EvoConfig(population_size=8, generations=1, seed=0), FAST_PROXY)
+
+    def test_positions_are_list_indices(self, tmp_path):
+        tasks = small_benchmark(tmp_path)[::-1]
+        cfg = EvoConfig(population_size=8, generations=2, seed=1)
+        for i, (task, tr) in enumerate(zip(tasks, run_evolution(tasks, cfg, FAST_PROXY, workers=2))):
+            assert tr.population.task == TaskDescriptor(task.name, i, 5)
+            assert {ind.task for ind in tr.population.members} == {i}
+            assert {ind.id // driver.ID_STRIDE for ind in tr.population.members + tr.pareto} == {i}
+
     @pytest.mark.parametrize("n_train", [-5, 0, 240])
     def test_training_row_count_outside_the_task_rejected(self, tmp_path, n_train):
         tasks = small_benchmark(tmp_path)
@@ -380,6 +394,26 @@ class TestNaiveMean:
             assert tr.population.task == TaskDescriptor(task.name, position, 5)
             assert tr.initial_best == tr.strategy.objectives
             assert tr.history == []
+
+    @pytest.mark.skipif(driver._OPENBLAS is None, reason="numpy does not bundle OpenBLAS")
+    def test_heads_are_trained_on_one_blas_thread_at_d128(self, tmp_path):
+        """OpenBLAS threads its reductions at this width, so without one
+        BLAS thread the heads would depend on the caller's thread count."""
+        synth = SynthConfig(task_count=2, residues=300, feature_dim=128, positive_rate=0.1,
+                            noise_scale=5.0, val_ratio=0.75, seed=1)
+        tasks = load_all_tasks(generate_synthetic(synth, tmp_path / "d128"))
+        get, set_ = driver._OPENBLAS
+        original = get()
+        try:
+            set_(2)
+            caller = run_naive_mean(tasks, ProxyConfig())
+            with driver._one_blas_thread():
+                pinned = run_naive_mean(tasks, ProxyConfig())
+        finally:
+            set_(original)
+        for a, b in zip(caller, pinned):
+            assert np.array_equal(a.strategy.proxy.coefficients, b.strategy.proxy.coefficients)
+            assert a.strategy.proxy.intercept == b.strategy.proxy.intercept
 
     def test_failed_evaluation_raises(self, tmp_path):
         tasks = small_benchmark(tmp_path, noise=1.0)
