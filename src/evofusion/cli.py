@@ -139,13 +139,7 @@ def _write_outputs(out_dir: Path, tasks: list[TaskData], results: list[TaskResul
                     )
                     + "\n"
                 )
-        save_strategy(
-            out_dir / f"strategy.{name}.out",
-            result.strategy,
-            name,
-            task.pool[0].shape[1],
-            len(task.pool),
-        )
+        save_strategy(out_dir / f"strategy.{name}.out", result.strategy, name, len(task.pool))
         others = [n for n in task_names if n != name]
         with open(out_dir / f"history.{name}.csv", "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)

@@ -50,8 +50,12 @@ MAX_LABEL_RETRIES = 1000
 
 def is_json_number(value, integer: bool = False) -> bool:
     """True for a parsed JSON number (only an integer when ``integer``).
-    JSON ``true``/``false`` are not numbers, although Python's bool is an int."""
-    return not isinstance(value, bool) and isinstance(value, int if integer else (int, float))
+    JSON ``true``/``false`` are not numbers, although Python's bool is an
+    int, and neither are the ``NaN`` and ``Infinity`` that Python's parser
+    accepts."""
+    if isinstance(value, float):
+        return not integer and math.isfinite(value)
+    return not isinstance(value, bool) and isinstance(value, int)
 
 
 class FormatError(ValueError):
@@ -413,7 +417,7 @@ def decode_genes(raw) -> Genotype:
     return Genotype(tuple(FusionGene(k, op, float(wc), float(wf)) for k, op, wc, wf in raw))
 
 
-def save_strategy(path, ind: Individual, task_name: str, feature_dim: int, pool_size: int) -> None:
+def save_strategy(path, ind: Individual, task_name: str, pool_size: int) -> None:
     """Serialize a selected strategy (genotype plus trained head) as JSON."""
     if ind.objectives is None or ind.proxy is None:
         raise ValueError("strategy must be evaluated before saving")
@@ -421,7 +425,7 @@ def save_strategy(path, ind: Individual, task_name: str, feature_dim: int, pool_
     doc = {
         "task": task_name,
         "pool_size": pool_size,
-        "feature_dim": feature_dim,
+        "feature_dim": len(model.coefficients),
         "genes": encode_genes(ind.genotype),
         "objectives": [ind.objectives.g1, ind.objectives.g2],
         "coefficients": [float(v) for v in model.coefficients],
@@ -459,8 +463,8 @@ def load_strategy(path) -> tuple[Individual, int]:
             raise TypeError("'intercept' must be a number and 'pool_size' an integer")
         if not coefficients.size == means.size == stds.size or objectives.size != 2:
             raise ValueError("head sizes disagree or 'objectives' is not a pair")
-        if not np.isfinite(np.r_[coefficients, means, stds, intercept]).all() or (stds <= 0).any():
-            raise ValueError("head values must be finite and 'stds' positive")
+        if (stds <= 0).any():
+            raise ValueError("'stds' must be positive")
         genotype = decode_genes(doc["genes"])
         genotype.validate(pool_size, pool_size)
         strategy = Individual(

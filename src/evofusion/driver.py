@@ -38,7 +38,7 @@ from .model import (
     random_genotype,
 )
 from .neighborhood import build_neighborhoods, publish_elites
-from .nsga3 import ReferenceSet, das_dennis, environmental_selection, nondominated_sort
+from .nsga3 import environmental_selection, nondominated_sort
 from .operators import EvoConfig, batch_de, generate_offspring
 from .proxy import ProxyConfig, evaluate_individual
 
@@ -216,7 +216,6 @@ def _init_task(state: _TaskState, cfg: EvoConfig, proxy_cfg: ProxyConfig) -> Non
 def _advance_task(
     state: _TaskState,
     neighborhood: dict,
-    Z: ReferenceSet,
     generation: int,
     cfg: EvoConfig,
     proxy_cfg: ProxyConfig,
@@ -237,7 +236,7 @@ def _advance_task(
         state.evaluate(ind, proxy_cfg)
         offspring.append(ind)
     union = pop.members + offspring
-    survivors = environmental_selection(union, cfg.population_size, Z, state.rng)
+    survivors = environmental_selection(union, cfg.population_size, state.rng)
     state.population = TaskPopulation(pop.task, survivors)
     return _population_stats(state.population, generation, transfers)
 
@@ -293,13 +292,12 @@ def _run_share(
             _init_task(state, cfg, proxy_cfg)
         initial_best = [min((ind.objectives for ind in s.population.members), key=tuple) for s in states]
         histories: list[list[GenerationStats]] = [[] for _ in states]
-        Z = das_dennis(cfg.population_size - 1)
         for generation in range(1, cfg.generations + 1):
             pops = [s.population for s in states]
             nmap = build_neighborhoods(exchange(publish_elites(pops, cfg)), pops, cfg)
             for state, history in zip(states, histories):
                 neighborhood = nmap[state.population.task.position]
-                history.append(_advance_task(state, neighborhood, Z, generation, cfg, proxy_cfg))
+                history.append(_advance_task(state, neighborhood, generation, cfg, proxy_cfg))
         return [_task_result(s.population, best, h) for s, best, h in zip(states, initial_best, histories)]
 
 

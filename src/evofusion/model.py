@@ -121,9 +121,6 @@ class TaskPopulation:
     task: TaskDescriptor
     members: list[Individual] = field(default_factory=list)
 
-    def __len__(self):
-        return len(self.members)
-
 
 @dataclass(frozen=True)
 class PoolRole:

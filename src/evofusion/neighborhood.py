@@ -9,20 +9,14 @@ fusion strategies that already work elsewhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import Individual, TaskPopulation, vectorize_genotype
 from .operators import EvoConfig
 
-NeighborhoodMap = dict[int, dict[int, list["NeighborEntry"]]]
-
-
-@dataclass(frozen=True, eq=False)
-class NeighborEntry:
-    elite: Individual
-    grade: float
+# task position -> member id -> foreign elites, best first
+NeighborhoodMap = dict[int, dict[int, list[Individual]]]
 
 
 def grg(x, rows, rho: float) -> np.ndarray:
@@ -77,11 +71,12 @@ def build_neighborhoods(
 
     ``elites`` is the global pool that ``publish_elites`` makes from
     every task; ``pops`` may be any subset of the tasks. Each member of
-    ``pops`` keeps the top-K most similar elites from other tasks,
-    ranked by grey relational grade over the genotype embedding (ties by
-    source task position, then elite id). The ranking keys are unique,
-    so a task's map does not depend on which other tasks are in
-    ``pops``. With no foreign elite every neighborhood is empty.
+    ``pops`` keeps the top-K most similar elites from other tasks, the
+    very objects of ``elites``, ranked by grey relational grade over the
+    genotype embedding (descending; ties by source task position, then
+    elite id). The ranking keys are unique, so a task's map does not
+    depend on which other tasks are in ``pops``. With no foreign elite
+    every neighborhood is empty.
     """
     result: NeighborhoodMap = {}
     if not pops:
@@ -95,7 +90,7 @@ def build_neighborhoods(
     for pop in pops:
         t = pop.task.position
         foreign = np.flatnonzero(all_sources != t)
-        task_map: dict[int, list[NeighborEntry]] = {}
+        task_map: dict[int, list[Individual]] = {}
         if foreign.size:
             matrix = np.stack([vectors[i] for i in foreign])
             sources = all_sources[foreign]
@@ -105,7 +100,7 @@ def build_neighborhoods(
                 grades = grg(x, matrix, cfg.grg_rho)
                 # last key is primary: grade descending, then source, then id
                 order = np.lexsort((ids, sources, -grades))[:k]
-                task_map[ind.id] = [NeighborEntry(elites[foreign[i]], float(grades[i])) for i in order]
+                task_map[ind.id] = [elites[foreign[i]] for i in order]
         else:
             task_map = {ind.id: [] for ind in pop.members}
         result[t] = task_map

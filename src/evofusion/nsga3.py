@@ -116,17 +116,16 @@ def _perpendicular_distances(points: np.ndarray, refs: np.ndarray) -> np.ndarray
     return np.sqrt((residual ** 2).sum(axis=2))
 
 
-def environmental_selection(
-    R: list[Individual], N: int, Z: ReferenceSet, rng: np.random.Generator
-) -> list[Individual]:
+def environmental_selection(R: list[Individual], N: int, rng: np.random.Generator) -> list[Individual]:
     """Select N individuals from the union population R.
 
     Whole fronts are accepted while they fit; the splitting front is
-    filled by NSGA-III niching: members associate with their nearest
-    reference line, and the emptiest niches claim members first (their
-    closest member when the niche is empty, a random associated member
-    otherwise; exhausted reference points drop out). Output is sorted by
-    individual id; deterministic given the rng state.
+    filled by NSGA-III niching over ``das_dennis(max(N - 1, 1))``, about
+    one reference point per survivor: members associate with their
+    nearest reference line, and the emptiest niches claim members first
+    (their closest member when the niche is empty, a random associated
+    member otherwise; exhausted reference points drop out). Output is
+    sorted by individual id; deterministic given the rng state.
     """
     if len(R) < N:
         raise ValueError(f"cannot select {N} from {len(R)} individuals")
@@ -147,6 +146,7 @@ def environmental_selection(
             splitting = front
             break
     slots = N - len(selected)
+    Z = das_dennis(max(N - 1, 1))
     pool_idx = selected + splitting
     normed = normalize([objs[i] for i in pool_idx])
     dist = _perpendicular_distances(normed, Z.points)

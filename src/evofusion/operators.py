@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,9 +22,6 @@ from .model import (
     TaskPopulation,
     random_gene,
 )
-
-if TYPE_CHECKING:
-    from .neighborhood import NeighborEntry
 
 GAUSS_SIGMA = 0.1
 # gates of the structure, operator and weight mutations (drawn in that
@@ -83,11 +80,11 @@ class EvoConfig:
         return math.ceil(0.1 * self.population_size)
 
 
-def tournament(pop: TaskPopulation, size: int, rng: np.random.Generator) -> Individual:
-    """Sample `size` members with replacement; best (g1, g2, id) wins."""
+def tournament(pop: TaskPopulation, rng: np.random.Generator) -> Individual:
+    """Sample TOURNAMENT_SIZE members with replacement; best (g1, g2, id) wins."""
     if not pop.members:
         raise ValueError("empty population")
-    picks = rng.integers(len(pop.members), size=size)
+    picks = rng.integers(len(pop.members), size=TOURNAMENT_SIZE)
     return min((pop.members[i] for i in picks), key=Individual.sort_key)
 
 
@@ -160,24 +157,22 @@ def _clip_weight(w: float) -> float:
     return min(max(w, WEIGHT_MIN), WEIGHT_MAX)
 
 
-def mutate_weight(
-    g: Genotype, neighborhood: Sequence[Genotype] | None, rng: np.random.Generator
-) -> Genotype:
+def mutate_weight(g: Genotype, guides: Sequence[Genotype], rng: np.random.Generator) -> Genotype:
     """Perturb the continuous weights.
 
-    With a neighborhood, one neighbor is drawn and every gene sharing a
-    pool index with it blends toward the neighbor's weights by a uniform
-    random fraction; unmatched genes (and all genes when there is no
-    neighborhood) get Gaussian noise with sigma 0.1. Weights are clipped
-    to their bounds.
+    With guides, one guide is drawn and every gene sharing a pool index
+    with it blends toward the guide's weights by a uniform random
+    fraction; unmatched genes (and all genes when ``guides`` is empty)
+    get Gaussian noise with sigma 0.1. Weights are clipped to their
+    bounds.
     """
-    neighbor_genes: dict[int, FusionGene] = {}
-    if neighborhood:
-        e = neighborhood[int(rng.integers(len(neighborhood)))]
-        neighbor_genes = {gene.pool_index: gene for gene in e.genes}
+    guide_genes: dict[int, FusionGene] = {}
+    if guides:
+        guide = guides[int(rng.integers(len(guides)))]
+        guide_genes = {gene.pool_index: gene for gene in guide.genes}
     genes = []
     for gene in g.genes:
-        match = neighbor_genes.get(gene.pool_index)
+        match = guide_genes.get(gene.pool_index)
         if match is not None:
             w_c = gene.w_c + float(rng.random()) * (match.w_c - gene.w_c)
             w_f = gene.w_f + float(rng.random()) * (match.w_f - gene.w_f)
@@ -251,28 +246,28 @@ def batch_de(
 
 def generate_offspring(
     pop: TaskPopulation,
-    neighborhood: dict[int, list["NeighborEntry"]],
+    neighborhood: dict[int, list[Individual]],
     cfg: EvoConfig,
     rng: np.random.Generator,
 ) -> tuple[Genotype, int | None]:
     """Produce one offspring genotype.
 
-    The first parent comes from a tournament; the second comes from the
-    first parent's cross-task neighborhood with probability
-    cfg.transfer_prob (when it is non-empty), otherwise from a second
-    tournament. Crossover and the three mutations then fire under their
-    independent gates. Returns the child plus the source task position
-    when the second parent was neighborhood-sourced.
+    The first parent comes from a tournament; the second is a foreign
+    elite drawn from the first parent's neighborhood with probability
+    cfg.transfer_prob (when it is non-empty), otherwise the winner of a
+    second tournament. Crossover and the three mutations then fire under
+    their independent gates. Returns the child plus the source task
+    position when the second parent was neighborhood-sourced.
     """
-    p1 = tournament(pop, TOURNAMENT_SIZE, rng)
-    entries = neighborhood.get(p1.id, [])
+    p1 = tournament(pop, rng)
+    neighbors = neighborhood.get(p1.id, [])
     source = None
-    if float(rng.random()) < cfg.transfer_prob and entries:
-        entry = entries[int(rng.integers(len(entries)))]
-        p2 = entry.elite.genotype
-        source = entry.elite.task
+    if float(rng.random()) < cfg.transfer_prob and neighbors:
+        elite = neighbors[int(rng.integers(len(neighbors)))]
+        p2 = elite.genotype
+        source = elite.task
     else:
-        p2 = tournament(pop, TOURNAMENT_SIZE, rng).genotype
+        p2 = tournament(pop, rng).genotype
     child = p1.genotype
     pool_size = pop.task.pool_size
     if float(rng.random()) < cfg.crossover_prob:
@@ -283,6 +278,5 @@ def generate_offspring(
         if float(rng.random()) < OP_PROB:
             child = mutate_operator(child, rng)
         if float(rng.random()) < WEIGHT_PROB:
-            guides = [e.elite.genotype for e in entries] or None
-            child = mutate_weight(child, guides, rng)
+            child = mutate_weight(child, [e.genotype for e in neighbors], rng)
     return child, source

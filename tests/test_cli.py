@@ -114,7 +114,10 @@ class TestGen:
         [("proxy", "max_iter", 1.0), ("evolution", "seed", "x"), ("evolution", "generations", None),
          ("synthetic", "feature_dim", 2.5), ("evolution", "neighborhood_size", 1.5),
          ("proxy", "grad_tol", [1]), ("synthetic", "informative", 3),
-         ("synthetic", "informative", [[0.5], [1]])],
+         ("synthetic", "informative", [[0.5], [1]]),
+         # Python's JSON parser reads NaN and Infinity, which no config value may be
+         ("proxy", "gamma", float("nan")), ("evolution", "de_F", float("inf")),
+         ("proxy", "alpha_pos", float("nan"))],
     )
     def test_mistyped_config_value_is_data_error(self, tmp_path, section, key, value):
         cfg = write_config(tmp_path / "typed.json", **{section: {key: value}})

@@ -170,7 +170,7 @@ class TestStrategy:
         task = load_task(generate_synthetic(cfg, tmp_path / "bench"), 0)
         ind = Individual(1, 0, make_genotype((2, "add", 1.0, 1.0), (0, "mul", 0.5, 1.5)))
         evaluate_individual(ind, task, ProxyConfig())
-        save_strategy(tmp_path / "strategy.json", ind, "task_00", 4, 3)
+        save_strategy(tmp_path / "strategy.json", ind, "task_00", 3)
         return tmp_path / "strategy.json"
 
     def test_roundtrip(self, saved):

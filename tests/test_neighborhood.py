@@ -28,10 +28,13 @@ def neighborhoods(pops, cfg):
 
 def image(nmap):
     """Comparable form of a neighborhood map."""
-    return {
-        t: {i: [(e.elite.id, e.elite.task, e.grade) for e in entries] for i, entries in m.items()}
-        for t, m in nmap.items()
-    }
+    return {t: {i: [(e.id, e.task) for e in elites] for i, elites in m.items()} for t, m in nmap.items()}
+
+
+def grades_of(member, elites, pool_size, rho=0.25):
+    """Each elite's grade against a member, recomputed row by row."""
+    x = vectorize_genotype(member.genotype, pool_size)
+    return [grade(x, vectorize_genotype(e.genotype, pool_size), rho) for e in elites]
 
 
 def population(task, genotypes, g1_values=None, pool_size=7):
@@ -144,10 +147,11 @@ class TestBuildNeighborhoods:
             population(1, [make_genotype(2), make_genotype(3)]),
         ]
         nmap = neighborhoods(pops, self.cfg(elite_fraction=1.0, neighborhood_size=10))
-        for entries in nmap[0].values():
-            assert len(entries) == 2
-            assert all(e.elite.task == 1 for e in entries)
-            grades = [e.grade for e in entries]
+        for member in pops[0].members:
+            elites = nmap[0][member.id]
+            assert len(elites) == 2
+            assert all(e.task == 1 for e in elites)
+            grades = grades_of(member, elites, 7)
             assert grades == sorted(grades, reverse=True)
 
     def test_never_references_own_task(self, rng):
@@ -157,8 +161,8 @@ class TestBuildNeighborhoods:
         ]
         nmap = neighborhoods(pops, self.cfg(elite_fraction=0.5, neighborhood_size=3))
         for t in range(3):
-            for entries in nmap[t].values():
-                assert all(e.elite.task != t for e in entries)
+            for elites in nmap[t].values():
+                assert all(e.task != t for e in elites)
 
     def test_matches_exhaustive_oracle(self, rng):
         cfg = self.cfg(elite_fraction=1.0, neighborhood_size=3, grg_rho=0.25)
@@ -180,9 +184,9 @@ class TestBuildNeighborhoods:
                     scored.append((-g, src, elite.id, elite))
                 scored.sort(key=lambda item: item[:3])
                 expected = [(item[3].id, -item[0]) for item in scored[:3]]
-                got = [(e.elite.id, e.grade) for e in nmap[t][ind.id]]
-                assert [g[0] for g in got] == [e[0] for e in expected]
-                for (gid, ggrade), (eid, egrade) in zip(got, expected):
+                got = nmap[t][ind.id]
+                assert [e.id for e in got] == [e[0] for e in expected]
+                for ggrade, (eid, egrade) in zip(grades_of(ind, got, 5), expected):
                     assert ggrade == pytest.approx(egrade, abs=1e-12)
 
     def test_equal_grades_order_by_source_position_then_elite_id(self):
@@ -198,15 +202,16 @@ class TestBuildNeighborhoods:
         for ind in pops[2].members:
             ind.id += 4000
         nmap = neighborhoods(pops, self.cfg(elite_fraction=1.0, neighborhood_size=5))
-        entries = nmap[0][0]
+        elites = nmap[0][0]
         # grade first (2001 is a copy of own), then source position, then id,
         # as test_matches_exhaustive_oracle sorts them
-        assert [(e.elite.task, e.elite.id) for e in entries] == [
+        assert [(e.task, e.id) for e in elites] == [
             (2, 2001), (1, 5000), (1, 5001), (2, 2000), (2, 2002)
         ]
-        assert entries[0].grade == 1.0
-        assert entries[1].grade < 1.0
-        assert len({e.grade for e in entries[1:]}) == 1
+        grades = grades_of(pops[0].members[0], elites, 5)
+        assert grades[0] == 1.0
+        assert grades[1] < 1.0
+        assert len(set(grades[1:])) == 1
 
     def test_oracle_on_larger_random_instances(self, rng):
         cfg = EvoConfig(population_size=10, elite_fraction=0.5, neighborhood_size=4)
@@ -217,13 +222,14 @@ class TestBuildNeighborhoods:
         nmap = neighborhoods(pops, cfg)
         # spot-check grades are non-increasing and well-formed everywhere
         total_entries = 0
-        for t, task_map in nmap.items():
-            for entries in task_map.values():
-                assert len(entries) <= 4
-                grades = [e.grade for e in entries]
+        for pop in pops:
+            for member in pop.members:
+                elites = nmap[pop.task.position][member.id]
+                assert len(elites) <= 4
+                grades = grades_of(member, elites, 9)
                 assert grades == sorted(grades, reverse=True)
                 assert all(0.0 < g <= 1.0 for g in grades)
-                total_entries += len(entries)
+                total_entries += len(elites)
         assert total_entries > 0
 
     def test_union_of_shares_equals_single_call(self, rng):
@@ -242,6 +248,21 @@ class TestBuildNeighborhoods:
             for w in range(workers):
                 union.update(build_neighborhoods(elites, pops[w::workers], cfg))
             assert image(union) == image(whole)
+
+    def test_neighbors_are_the_published_elites_themselves(self, rng):
+        cfg = EvoConfig(population_size=6, elite_fraction=0.5, neighborhood_size=3)
+        pops = [
+            population(t, [random_genotype(rng, 7, 5) for _ in range(6)])
+            for t in range(4)
+        ]
+        elites = publish_elites(pops, cfg)
+        nmap = build_neighborhoods(elites, pops, cfg)
+        seen = 0
+        for task_map in nmap.values():
+            for neighbors in task_map.values():
+                assert all(any(n is e for e in elites) for n in neighbors)
+                seen += len(neighbors)
+        assert seen == 4 * 6 * 3
 
 
 class TestPublishElites:

@@ -137,12 +137,12 @@ class TestEnvironmentalSelection:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_underflow_objectives_do_not_overflow_distances(self):
         pop = individuals(UNDERFLOW_PAIRS)
-        out = environmental_selection(pop, 1, das_dennis(1), np.random.default_rng(0))
+        out = environmental_selection(pop, 1, np.random.default_rng(0))
         assert len(out) == 1
 
     def test_exact_fit_returns_population_by_id(self, rng):
         pop = individuals([(0.5, 0.1), (0.1, 0.5), (0.3, 0.3)])
-        out = environmental_selection(pop[::-1], 3, das_dennis(2), np.random.default_rng(0))
+        out = environmental_selection(pop[::-1], 3, np.random.default_rng(0))
         assert [ind.id for ind in out] == [0, 1, 2]
 
     def test_whole_front_acceptance(self, rng):
@@ -150,7 +150,7 @@ class TestEnvironmentalSelection:
         front0 = [(0.1, 0.5), (0.3, 0.3), (0.5, 0.1)]
         front1 = [(0.6, 0.6), (0.7, 0.55), (0.55, 0.7), (0.8, 0.8), (0.9, 0.75)]
         pop = individuals(front0 + front1)
-        out = environmental_selection(pop, 3, das_dennis(2), np.random.default_rng(1))
+        out = environmental_selection(pop, 3, np.random.default_rng(1))
         assert sorted(ind.id for ind in out) == [0, 1, 2]
 
     def test_one_member_per_line_before_seconds(self):
@@ -166,8 +166,7 @@ class TestEnvironmentalSelection:
             (1.00, 0.015),
         ]
         pop = individuals(pairs)
-        Z = das_dennis(3)
-        out = environmental_selection(pop, 4, Z, np.random.default_rng(3))
+        out = environmental_selection(pop, 4, np.random.default_rng(3))
         ids = sorted(ind.id for ind in out)
         buckets = [set() for _ in range(4)]
         for ind in out:
@@ -177,7 +176,7 @@ class TestEnvironmentalSelection:
     def test_requires_enough_individuals(self):
         pop = individuals([(0.5, 0.5)])
         with pytest.raises(ValueError):
-            environmental_selection(pop, 2, das_dennis(1), np.random.default_rng(0))
+            environmental_selection(pop, 2, np.random.default_rng(0))
 
     def test_first_front_always_survives_when_it_fits(self, rng):
         for trial in range(20):
@@ -185,7 +184,7 @@ class TestEnvironmentalSelection:
             pop = individuals(pairs)
             fronts = nondominated_sort(pairs)
             N = max(4, len(fronts[0]))
-            out = environmental_selection(pop, N, das_dennis(N - 1), np.random.default_rng(trial))
+            out = environmental_selection(pop, N, np.random.default_rng(trial))
             chosen = {ind.id for ind in out}
             assert set(fronts[0]).issubset(chosen)
             assert len(out) == N
@@ -193,7 +192,7 @@ class TestEnvironmentalSelection:
     def test_no_selected_dominated_by_earlier_front_discard(self, rng):
         pairs = [tuple(v) for v in rng.random((30, 2))]
         pop = individuals(pairs)
-        out = environmental_selection(pop, 10, das_dennis(9), np.random.default_rng(5))
+        out = environmental_selection(pop, 10, np.random.default_rng(5))
         chosen = {ind.id for ind in out}
         discarded = [ind for ind in pop if ind.id not in chosen]
         fronts = nondominated_sort(pairs)
@@ -207,9 +206,8 @@ class TestEnvironmentalSelection:
     def test_deterministic_given_seed(self, rng):
         pairs = [tuple(v) for v in rng.random((40, 2))]
         pop = individuals(pairs)
-        Z = das_dennis(11)
-        a = environmental_selection(pop, 12, Z, np.random.default_rng(9))
-        b = environmental_selection(pop, 12, Z, np.random.default_rng(9))
+        a = environmental_selection(pop, 12, np.random.default_rng(9))
+        b = environmental_selection(pop, 12, np.random.default_rng(9))
         assert [ind.id for ind in a] == [ind.id for ind in b]
 
 
@@ -223,9 +221,8 @@ OBJECTIVE_VALUES = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]) | st.floats(0.0,
 def test_selection_returns_n_distinct_and_keeps_a_fitting_first_front(data):
     pairs = data.draw(st.lists(st.tuples(OBJECTIVE_VALUES, OBJECTIVE_VALUES), min_size=1, max_size=40))
     N = data.draw(st.integers(1, len(pairs)), label="N")
-    Z = das_dennis(data.draw(st.integers(1, 12), label="divisions"))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    out = environmental_selection(individuals(pairs), N, Z, rng)
+    out = environmental_selection(individuals(pairs), N, rng)
     ids = [ind.id for ind in out]
     assert len(ids) == N and len(set(ids)) == N
     assert ids == sorted(ids)

@@ -11,7 +11,6 @@ from evofusion.model import (
     TaskPopulation,
     random_genotype,
 )
-from evofusion.neighborhood import NeighborEntry
 from evofusion.operators import (
     EvoConfig,
     batch_de,
@@ -43,30 +42,30 @@ def structure(g: Genotype):
 class TestTournament:
     def test_singleton(self):
         pop = population([(0.4, 0.4)])
-        assert tournament(pop, 2, np.random.default_rng(0)).id == 0
+        assert tournament(pop, np.random.default_rng(0)).id == 0
 
     def test_best_wins_when_drawn(self):
         pop = population([(0.9, 0.1), (0.1, 0.1)])
-        winner = tournament(pop, 2, ScriptedRng(ints=[1, 1]))
+        winner = tournament(pop, ScriptedRng(ints=[1, 1]))
         assert winner.id == 1
 
     def test_empirical_win_rate(self):
         # P(better wins) = 1 - (1/2)^2 = 0.75 for a 2-member pool, size 2
         pop = population([(0.1, 0.0), (0.9, 0.0)])
         rng = np.random.default_rng(123)
-        wins = sum(tournament(pop, 2, rng).id == 0 for _ in range(10_000))
+        wins = sum(tournament(pop, rng).id == 0 for _ in range(10_000))
         assert wins / 10_000 == pytest.approx(0.75, abs=0.02)
 
     def test_tie_break_by_g2_then_id(self):
         pop = population([(0.5, 0.9), (0.5, 0.1)])
-        assert tournament(pop, 2, ScriptedRng(ints=[0, 1])).id == 1
+        assert tournament(pop, ScriptedRng(ints=[0, 1])).id == 1
         pop2 = population([(0.5, 0.5), (0.5, 0.5)])
-        assert tournament(pop2, 2, ScriptedRng(ints=[1, 0])).id == 0
+        assert tournament(pop2, ScriptedRng(ints=[1, 0])).id == 0
 
     def test_empty_population(self):
         desc = TaskDescriptor("task_00", 0, 3)
         with pytest.raises(ValueError):
-            tournament(TaskPopulation(desc, []), 2, np.random.default_rng(0))
+            tournament(TaskPopulation(desc, []), np.random.default_rng(0))
 
 
 class TestCrossover:
@@ -187,7 +186,7 @@ class TestWeightMutation:
 
     def test_clip_at_lower_bound(self):
         g = make_genotype((0, "add", 0.1, 0.1))
-        out = mutate_weight(g, None, ScriptedRng(normals=[-3.0, -3.0]))
+        out = mutate_weight(g, [], ScriptedRng(normals=[-3.0, -3.0]))
         assert out.genes[0].w_c == 0.1
         assert out.genes[0].w_f == 0.1
 
@@ -202,8 +201,8 @@ class TestWeightMutation:
     def test_always_valid(self, rng):
         g = random_genotype(rng, 9, 7)
         for _ in range(20_000):
-            neighborhood = [random_genotype(rng, 9, 7)] if rng.random() < 0.5 else None
-            g = mutate_weight(g, neighborhood, rng)
+            guides = [random_genotype(rng, 9, 7)] if rng.random() < 0.5 else []
+            g = mutate_weight(g, guides, rng)
             g.validate(pool_size=9, max_len=7)
 
 
@@ -282,8 +281,7 @@ class TestBatchDe:
 
 class TestGenerateOffspring:
     def neighborhood_for(self, pop, elite):
-        entry = NeighborEntry(elite, 0.9)
-        return {ind.id: [entry] for ind in pop.members}
+        return {ind.id: [elite] for ind in pop.members}
 
     def test_no_variation_copies_first_parent(self):
         pop = population([(0.2, 0.2), (0.4, 0.4), (0.6, 0.6), (0.8, 0.8)])
