@@ -45,11 +45,9 @@ results = run_evolution(tasks, cfg, ProxyConfig(max_iter=150))
 print("\n=== best validation AUPRC per generation ===")
 header = "gen  " + "  ".join(f"{tr.population.task.name:>8}" for tr in results)
 print(header)
-initial = [f"{1 - tr.initial_best.g1:8.3f}" for tr in results]
-print("  0  " + "  ".join(initial))
-for g in range(cfg.generations):
+for g in range(cfg.generations + 1):
     row = [f"{1 - tr.history[g].best_g1:8.3f}" for tr in results]
-    print(f"{g + 1:3d}  " + "  ".join(row))
+    print(f"{g:3d}  " + "  ".join(row))
 
 tr = results[0]
 print(f"\n=== final Pareto front of {tr.population.task.name} ===")

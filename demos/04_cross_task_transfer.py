@@ -40,11 +40,11 @@ without = run_evolution(tasks, replace(cfg, transfer_prob=0.0), proxy)
 
 print("=== best validation AUPRC, with vs without neighborhoods ===")
 print("gen   " + "   ".join(f"{tr.population.task.name}(on/off)" for tr in with_enm))
-for g in range(cfg.generations):
+for g in range(1, cfg.generations + 1):
     cells = []
     for on, off in zip(with_enm, without):
         cells.append(f"{1 - on.history[g].best_g1:.2f}/{1 - off.history[g].best_g1:.2f}")
-    print(f"{g + 1:3d}   " + "      ".join(cells))
+    print(f"{g:3d}   " + "      ".join(cells))
 
 print("\n=== interaction intensity: second parents drawn per source task ===")
 names = [tr.population.task.name for tr in with_enm]
@@ -53,9 +53,9 @@ for tr in with_enm:
     print(f"\noffspring of {name} borrowed from:")
     others = [n for n in names if n != name]
     print("gen   " + "  ".join(f"{n:>8}" for n in others))
-    for stat in tr.history:
+    for g, stat in enumerate(tr.history[1:], start=1):
         counts = [stat.transfers.get(names.index(n), 0) for n in others]
-        print(f"{stat.generation:3d}   " + "  ".join(f"{c:8d}" for c in counts))
+        print(f"{g:3d}   " + "  ".join(f"{c:8d}" for c in counts))
 
 print(
     "\nTypical pattern: borrowing is heaviest in early generations while"

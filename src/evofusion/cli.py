@@ -36,6 +36,7 @@ from .data import (
 )
 from .driver import TaskResult, predict, run_evolution, run_naive_mean
 from .metrics import auprc, confusion, fpr, mcc, supplementary_metrics
+from .model import aligned_pool_size
 from .operators import EvoConfig
 from .proxy import DECISION_THRESHOLD, ProxyConfig
 
@@ -147,8 +148,8 @@ def _write_outputs(out_dir: Path, tasks: list[TaskData], results: list[TaskResul
                 ["generation", "task", "best_g1", "best_g2", "mean_g1"]
                 + [f"transfers_from_{n}" for n in others]
             )
-            for stat in result.history:
-                row = [stat.generation, name, repr(stat.best_g1), repr(stat.best_g2), repr(stat.mean_g1)]
+            for generation, stat in enumerate(result.history):
+                row = [generation, name, repr(stat.best_g1), repr(stat.best_g2), repr(stat.mean_g1)]
                 row += [stat.transfers.get(task_names.index(n), 0) for n in others]
                 writer.writerow(row)
         probs = predict(result.strategy, task.pool)[task.n_train :]
@@ -160,7 +161,7 @@ def cmd_gen(args) -> int:
     _, _, synth_cfg = load_run_config(args.config)
     manifest = generate_synthetic(synth_cfg, args.out)
     print(f"benchmark written to {args.out}")
-    print(f"tasks: {manifest.task_count}, pool entries per task: {2 * manifest.task_count - 1}")
+    print(f"tasks: {manifest.task_count}, pool entries per task: {aligned_pool_size(manifest.task_count)}")
     for entry in manifest.tasks:
         print(
             f"  {entry.name}: residues={entry.residues} dim={entry.feature_dim} "

@@ -30,13 +30,14 @@ import json
 import math
 import re
 import struct
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .fusion import Standardizer
-from .model import FusionGene, Genotype, Individual, ObjectiveVector, map_pool_index
+from .model import FusionGene, Genotype, Individual, ObjectiveVector, aligned_pool_size, map_pool_index
 from .proxy import ProxyModel
 
 FMAT_MAGIC = b"FMAT1\x00"
@@ -49,13 +50,14 @@ MAX_LABEL_RETRIES = 1000
 
 
 def is_json_number(value, integer: bool = False) -> bool:
-    """True for a parsed JSON number (only an integer when ``integer``).
-    JSON ``true``/``false`` are not numbers, although Python's bool is an
-    int, and neither are the ``NaN`` and ``Infinity`` that Python's parser
-    accepts."""
+    """True for a parsed JSON number (only an integer when ``integer``)
+    that a double holds without overflow. JSON ``true``/``false`` are not
+    numbers, although Python's bool is an int; neither are the ``NaN`` and
+    ``Infinity`` that Python's parser accepts, nor an integer too large for
+    a double."""
     if isinstance(value, float):
-        return not integer and math.isfinite(value)
-    return not isinstance(value, bool) and isinstance(value, int)
+        return not integer and abs(value) <= sys.float_info.max
+    return isinstance(value, int) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 class FormatError(ValueError):
@@ -279,7 +281,7 @@ def load_task(manifest: PoolManifest, task_position: int) -> TaskData:
     """Load one task's pool, labels and deterministic split."""
     entry = manifest.tasks[task_position]
     task_dir = manifest.root / entry.name
-    pool = read_pool_dir(task_dir, 2 * manifest.task_count - 1, entry.feature_dim, entry.residues)
+    pool = read_pool_dir(task_dir, aligned_pool_size(manifest.task_count), entry.feature_dim, entry.residues)
     labels = read_labels(task_dir / "labels.txt", entry.residues)
     return TaskData(entry.name, pool, labels, tail_split(entry.residues, entry.val_ratio))
 
@@ -318,7 +320,7 @@ class SynthConfig:
             raise ValueError("cross_correlation must lie in [0, 1]")
         if not 0.0 < self.val_ratio < 1.0:
             raise ValueError("val_ratio must lie in (0, 1)")
-        pool_size = 2 * self.task_count - 1
+        pool_size = aligned_pool_size(self.task_count)
         if self.informative is not None:
             if len(self.informative) != self.task_count:
                 raise ValueError("informative must list indices for every task")
@@ -361,7 +363,7 @@ def generate_synthetic(cfg: SynthConfig, out_dir) -> PoolManifest:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     T = cfg.task_count
-    pool_size = 2 * T - 1
+    pool_size = aligned_pool_size(T)
     names = [f"task_{t:02d}" for t in range(T)]
     shared_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
     shared_latent = shared_rng.standard_normal(cfg.residues)

@@ -32,9 +32,9 @@ from .model import (
     FusionGene,
     Genotype,
     Individual,
-    ObjectiveVector,
     TaskDescriptor,
     TaskPopulation,
+    aligned_pool_size,
     random_genotype,
 )
 from .neighborhood import build_neighborhoods, publish_elites
@@ -49,7 +49,6 @@ ID_STRIDE = 10 ** 7
 
 @dataclass(eq=False)
 class GenerationStats:
-    generation: int
     best_g1: float
     best_g2: float
     mean_g1: float
@@ -58,10 +57,13 @@ class GenerationStats:
 
 @dataclass(eq=False)
 class TaskResult:
+    """A task's final population, its Pareto set, the strategy picked
+    from it, and one record per generation: ``history[g]`` describes
+    generation g, and ``history[0]`` the initial population."""
+
     population: TaskPopulation
     pareto: list[Individual]
     strategy: Individual
-    initial_best: ObjectiveVector
     history: list[GenerationStats]
 
 
@@ -69,11 +71,10 @@ def _task_rng(seed: int, position: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(position,)))
 
 
-def _population_stats(pop: TaskPopulation, generation: int, transfers) -> GenerationStats:
+def _population_stats(pop: TaskPopulation, transfers) -> GenerationStats:
     g1s = [ind.objectives.g1 for ind in pop.members]
     g2s = [ind.objectives.g2 for ind in pop.members]
     return GenerationStats(
-        generation=generation,
         best_g1=min(g1s),
         best_g2=min(g2s),
         mean_g1=float(np.mean(g1s)),
@@ -85,7 +86,7 @@ def _validate_tasks(tasks: list[TaskData]) -> list[TaskDescriptor]:
     """Check every task and describe each by its index in ``tasks``."""
     if not tasks:
         raise ValueError("need at least one task")
-    pool_size = 2 * len(tasks) - 1
+    pool_size = aligned_pool_size(len(tasks))
     for task in tasks:
         name, rows = task.name, task.labels.size
         if len(task.pool) != pool_size:
@@ -115,17 +116,9 @@ def _pareto_front(pop: TaskPopulation) -> list[Individual]:
     return sorted((pop.members[i] for i in fronts[0]), key=lambda ind: ind.id)
 
 
-def _task_result(
-    pop: TaskPopulation, initial_best: ObjectiveVector, history: list[GenerationStats]
-) -> TaskResult:
+def _task_result(pop: TaskPopulation, history: list[GenerationStats]) -> TaskResult:
     pareto = _pareto_front(pop)
-    return TaskResult(
-        population=pop,
-        pareto=pareto,
-        strategy=select_strategy(pareto),
-        initial_best=initial_best,
-        history=history,
-    )
+    return TaskResult(population=pop, pareto=pareto, strategy=select_strategy(pareto), history=history)
 
 
 def select_strategy(pareto: list[Individual]) -> Individual:
@@ -162,9 +155,9 @@ def run_naive_mean(tasks: list[TaskData], proxy_cfg: ProxyConfig) -> list[TaskRe
     """Evaluate the naive-mean baseline on every task, without evolution.
 
     Each task's population, Pareto set and strategy are the one naive-mean
-    individual, and its history is empty. Like the search, it runs on one
-    BLAS thread. Raises ValueError when a task fails the checks of
-    run_evolution or its evaluation fails.
+    individual, and its history holds generation 0 alone. Like the search,
+    it runs on one BLAS thread. Raises ValueError when a task fails the
+    checks of run_evolution or its evaluation fails.
     """
     results = []
     with _one_blas_thread():
@@ -173,7 +166,8 @@ def run_naive_mean(tasks: list[TaskData], proxy_cfg: ProxyConfig) -> list[TaskRe
             evaluate_individual(ind, task, proxy_cfg)
             if ind.failed:
                 raise ValueError(f"naive mean evaluation failed on task {d.name}")
-            results.append(_task_result(TaskPopulation(d, [ind]), ind.objectives, []))
+            pop = TaskPopulation(d, [ind])
+            results.append(_task_result(pop, [_population_stats(pop, {})]))
     return results
 
 
@@ -185,6 +179,7 @@ class _TaskState:
         self.rng = _task_rng(cfg.seed, d.position)
         self.next_id = d.position * ID_STRIDE
         self.population = TaskPopulation(d, [])
+        self.history: list[GenerationStats] = []
         # evaluation is a pure function of the genotype, so identical
         # genotypes (crossover copies, DE no-ops) reuse their result
         self.eval_cache: dict[Genotype, tuple] = {}
@@ -211,15 +206,10 @@ def _init_task(state: _TaskState, cfg: EvoConfig, proxy_cfg: ProxyConfig) -> Non
         state.evaluate(ind, proxy_cfg)
         members.append(ind)
     state.population = TaskPopulation(d, members)
+    state.history.append(_population_stats(state.population, {}))
 
 
-def _advance_task(
-    state: _TaskState,
-    neighborhood: dict,
-    generation: int,
-    cfg: EvoConfig,
-    proxy_cfg: ProxyConfig,
-) -> GenerationStats:
+def _advance_task(state: _TaskState, neighborhood: dict, cfg: EvoConfig, proxy_cfg: ProxyConfig) -> None:
     pop = state.population
     transfers: Counter = Counter()
     offspring_genotypes = []
@@ -238,7 +228,7 @@ def _advance_task(
     union = pop.members + offspring
     survivors = environmental_selection(union, cfg.population_size, state.rng)
     state.population = TaskPopulation(pop.task, survivors)
-    return _population_stats(state.population, generation, transfers)
+    state.history.append(_population_stats(state.population, transfers))
 
 
 def _find_openblas():
@@ -290,15 +280,12 @@ def _run_share(
         states = [_TaskState(d, task, cfg) for d, task in share]
         for state in states:
             _init_task(state, cfg, proxy_cfg)
-        initial_best = [min((ind.objectives for ind in s.population.members), key=tuple) for s in states]
-        histories: list[list[GenerationStats]] = [[] for _ in states]
-        for generation in range(1, cfg.generations + 1):
+        for _ in range(cfg.generations):
             pops = [s.population for s in states]
             nmap = build_neighborhoods(exchange(publish_elites(pops, cfg)), pops, cfg)
-            for state, history in zip(states, histories):
-                neighborhood = nmap[state.population.task.position]
-                history.append(_advance_task(state, neighborhood, generation, cfg, proxy_cfg))
-        return [_task_result(s.population, best, h) for s, best, h in zip(states, initial_best, histories)]
+            for state in states:
+                _advance_task(state, nmap[state.population.task.position], cfg, proxy_cfg)
+        return [_task_result(s.population, s.history) for s in states]
 
 
 class WorkerError(OSError):

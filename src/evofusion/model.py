@@ -55,10 +55,6 @@ class Genotype:
     def __len__(self):
         return len(self.genes)
 
-    @property
-    def pool_indices(self) -> tuple[int, ...]:
-        return tuple(g.pool_index for g in self.genes)
-
     def validate(self, pool_size: int, max_len: int) -> None:
         """Raise ValueError if any genotype invariant is violated."""
         m = len(self.genes)
@@ -130,11 +126,16 @@ class PoolRole:
     partner: int
 
 
+def aligned_pool_size(task_count: int) -> int:
+    """Entries in each task's pool in a run of ``task_count`` tasks."""
+    return 2 * task_count - 1
+
+
 def map_pool_index(task_position: int, pool_index: int, task_count: int) -> PoolRole:
     """Decode the semantically aligned pool layout for one target task.
 
     For T tasks in fixed lexicographic order, a target task at position
-    tau sees a pool of 2*T - 1 entries:
+    tau sees a pool of ``aligned_pool_size(T)`` = 2T - 1 entries:
 
     * indices 0..T-1: the target acts as primary; index k pairs it with
       task k as auxiliary context. Index k == tau is the target's own
@@ -148,8 +149,7 @@ def map_pool_index(task_position: int, pool_index: int, task_count: int) -> Pool
     """
     if not 0 <= task_position < task_count:
         raise ValueError(f"task position {task_position} out of range for T={task_count}")
-    pool_size = 2 * task_count - 1
-    if not 0 <= pool_index < pool_size:
+    if not 0 <= pool_index < aligned_pool_size(task_count):
         raise ValueError(f"pool index {pool_index} out of range for T={task_count}")
     if pool_index < task_count:
         if pool_index == task_position:

@@ -231,12 +231,7 @@ def test_criterion_07_synthetic_convergence(tmp_path):
 def _first_reach_mean(result, gmax, thr=0.85):
     """Mean over tasks of the first generation whose best validation
     AUPRC reaches thr (0 = initial population, gmax+1 = never)."""
-    gens = []
-    for tr in result:
-        if 1.0 - tr.initial_best.g1 >= thr:
-            gens.append(0)
-            continue
-        gens.append(next((s.generation for s in tr.history if 1.0 - s.best_g1 >= thr), gmax + 1))
+    gens = [next((g for g, s in enumerate(tr.history) if 1.0 - s.best_g1 >= thr), gmax + 1) for tr in result]
     return float(np.mean(gens))
 
 

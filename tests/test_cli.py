@@ -117,7 +117,10 @@ class TestGen:
          ("synthetic", "informative", [[0.5], [1]]),
          # Python's JSON parser reads NaN and Infinity, which no config value may be
          ("proxy", "gamma", float("nan")), ("evolution", "de_F", float("inf")),
-         ("proxy", "alpha_pos", float("nan"))],
+         ("proxy", "alpha_pos", float("nan")),
+         # and integers of any size, which no double may hold
+         pytest.param("proxy", "gamma", 10**400, id="proxy-gamma-huge"),
+         pytest.param("synthetic", "noise_scale", 10**400, id="synthetic-noise_scale-huge")],
     )
     def test_mistyped_config_value_is_data_error(self, tmp_path, section, key, value):
         cfg = write_config(tmp_path / "typed.json", **{section: {key: value}})
@@ -189,10 +192,11 @@ class TestEvolve:
     def test_history_has_one_row_per_generation(self, workspace):
         assert self.evolve(workspace, "run1") == 0
         lines = (workspace / "run1" / "history.task_00.csv").read_text().splitlines()
-        assert len(lines) == 1 + 3  # header + generations
         header = lines[0].split(",")
         assert header[:5] == ["generation", "task", "best_g1", "best_g2", "mean_g1"]
         assert header[5] == "transfers_from_task_01"
+        # generation 0 is the initial population, then one row per generation
+        assert [row.split(",")[0] for row in lines[1:]] == ["0", "1", "2", "3"]
 
     def test_seed_override_reproducible(self, workspace):
         assert self.evolve(workspace, "runA", "--seed", "7") == 0
@@ -206,12 +210,14 @@ class TestEvolve:
         assert self.evolve(workspace, "runE", "--no-enm") == 0
         lines = (workspace / "runE" / "history.task_00.csv").read_text().splitlines()
         transfers = [int(row.split(",")[5]) for row in lines[1:]]
-        assert transfers == [0, 0, 0]
+        assert transfers == [0, 0, 0, 0]
 
     def test_naive_mean_skips_evolution(self, workspace):
         assert self.evolve(workspace, "runN", "--naive-mean") == 0
         lines = (workspace / "runN" / "history.task_00.csv").read_text().splitlines()
-        assert len(lines) == 1  # header only
+        assert len(lines) == 2  # header and generation 0, the one individual
+        assert lines[1].split(",")[:2] == ["0", "task_00"]
+        assert lines[1].split(",")[5] == "0"
         summary = parse_summary(workspace / "runN" / "summary.out")
         assert set(summary) == {"task_00", "task_01"}
 

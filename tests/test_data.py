@@ -196,10 +196,16 @@ class TestStrategy:
             lambda doc: doc["coefficients"].__setitem__(0, True),
             lambda doc: doc.update(genes=[[True, "add", 1.0, 1.0]]),
             lambda doc: doc.update(genes=[[1, "add", True, 1.0]]),
+            # integers too large for a double
+            lambda doc: doc.update(intercept=10**401),
+            lambda doc: doc["coefficients"].__setitem__(0, 10**401),
+            lambda doc: doc["standardizer"]["stds"].__setitem__(0, 10**401),
+            lambda doc: doc.update(genes=[[1, "add", 10**401, 1.0]]),
         ],
         ids=["duplicate-index", "unknown-op", "weight-out-of-bounds", "index-past-pool",
              "pool-too-small", "zero-std", "nan-coefficient", "inf-intercept", "objective-range",
-             "pool-size-true", "intercept-true", "coefficient-true", "gene-index-true", "gene-weight-true"],
+             "pool-size-true", "intercept-true", "coefficient-true", "gene-index-true", "gene-weight-true",
+             "intercept-huge", "coefficient-huge", "std-huge", "gene-weight-huge"],
     )
     def test_invalid_strategy_names_its_path(self, saved, corrupt):
         doc = json.loads(saved.read_text())
@@ -362,10 +368,13 @@ class TestManifestAndLoad:
             lambda doc: doc["entries"]["task_00"].update(informative_indices=[True]),
             lambda doc: doc["entries"]["task_01"].update(residues=0),
             lambda doc: doc["entries"]["task_01"].update(val_ratio=0.999),
+            lambda doc: doc["entries"]["task_00"].update(residues=10**400),
+            lambda doc: doc["entries"]["task_00"].update(val_ratio=10**400),
         ],
         ids=["no-entries", "entries-list", "tasks-string", "entry-list", "no-residues",
              "residues-text", "residues-fraction", "residues-true", "feature-dim-text",
-             "val-ratio-text", "informative-true", "residues-zero", "val-ratio-empty-split"],
+             "val-ratio-text", "informative-true", "residues-zero", "val-ratio-empty-split",
+             "residues-huge", "val-ratio-huge"],
     )
     def test_malformed_manifest_names_its_path(self, tmp_path, corrupt):
         root = self.build(tmp_path)

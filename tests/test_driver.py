@@ -49,8 +49,7 @@ def run_snapshot(result):
                 [(i.id, i.genotype, i.objectives.g1, i.objectives.g2) for i in tr.population.members],
                 [(i.id, i.genotype) for i in tr.pareto],
                 tr.strategy.id,
-                (tr.initial_best.g1, tr.initial_best.g2),
-                [(s.generation, s.best_g1, s.best_g2, s.mean_g1, tuple(sorted(s.transfers.items()))) for s in tr.history],
+                [(s.best_g1, s.best_g2, s.mean_g1, tuple(sorted(s.transfers.items()))) for s in tr.history],
             )
         )
     return image
@@ -62,12 +61,24 @@ class TestRunEvolution:
         cfg = EvoConfig(population_size=8, generations=0, seed=1)
         result = run_evolution(tasks, cfg, FAST_PROXY)
         for tr in result:
-            assert tr.history == []
+            assert len(tr.history) == 1
             assert len(tr.population.members) == 8
             assert tr.pareto
-            best = min(m.objectives.g1 for m in tr.population.members)
-            assert tr.initial_best.g1 == best
+            g1s = [m.objectives.g1 for m in tr.population.members]
+            assert tr.history[0].best_g1 == min(g1s)
+            assert tr.history[0].best_g2 == min(m.objectives.g2 for m in tr.population.members)
+            assert tr.history[0].mean_g1 == float(np.mean(g1s))
+            assert tr.history[0].transfers == {}
             assert tr.strategy in tr.pareto
+
+    def test_generation_zero_does_not_depend_on_run_length(self, tmp_path):
+        tasks = small_benchmark(tmp_path)
+        short, long = (
+            run_evolution(tasks, EvoConfig(population_size=8, generations=g, seed=1), FAST_PROXY) for g in (0, 3)
+        )
+        for a, b in zip(short, long):
+            assert len(b.history) == 4
+            assert vars(a.history[0]) == vars(b.history[0])
 
     def test_same_seed_identical_runs(self, tmp_path):
         tasks = small_benchmark(tmp_path)
@@ -79,24 +90,24 @@ class TestRunEvolution:
     def test_history_length_and_population_size(self, tmp_path):
         tasks = small_benchmark(tmp_path)
         cfg = EvoConfig(population_size=8, generations=6, seed=2)
-        result = run_evolution(tasks, cfg, FAST_PROXY)
-        for tr in result:
-            assert [s.generation for s in tr.history] == list(range(1, 7))
-            assert len(tr.population.members) == 8
+        for workers in (1, 2):
+            for tr in run_evolution(tasks, cfg, FAST_PROXY, workers=workers):
+                assert len(tr.history) == 7  # generation 0 (the initial population) .. 6
+                assert len(tr.population.members) == 8
 
     def test_elitism_never_regresses(self, tmp_path):
         tasks = small_benchmark(tmp_path, seed=41)
         cfg = EvoConfig(population_size=10, generations=6, seed=3)
         result = run_evolution(tasks, cfg, FAST_PROXY)
         for tr in result:
-            best_trace = [tr.initial_best.g1] + [s.best_g1 for s in tr.history]
+            best_trace = [s.best_g1 for s in tr.history]
             assert all(b <= a + 1e-15 for a, b in zip(best_trace, best_trace[1:]))
 
     def test_best_improves_on_most_tasks(self, tmp_path):
         tasks = small_benchmark(tmp_path, seed=42, task_count=4)
         cfg = EvoConfig(population_size=20, generations=15, seed=7)
         result = run_evolution(tasks, cfg, FAST_PROXY)
-        improved = sum(1 for tr in result if tr.history[-1].best_g1 < tr.initial_best.g1)
+        improved = sum(1 for tr in result if tr.history[-1].best_g1 < tr.history[0].best_g1)
         assert improved >= 3
 
     def test_transfer_counts_zero_without_enm(self, tmp_path):
@@ -377,7 +388,7 @@ class TestPredict:
 class TestNaiveMean:
     def test_covers_whole_pool_with_unit_add_chain(self):
         g = naive_mean_genotype(7)
-        assert g.pool_indices == tuple(range(7))
+        assert [gene.pool_index for gene in g.genes] == list(range(7))
         assert all(gene.op == "add" and gene.w_c == 1.0 and gene.w_f == 1.0 for gene in g.genes)
 
     def test_evaluates_cleanly(self, tmp_path):
@@ -392,8 +403,10 @@ class TestNaiveMean:
         for position, (task, tr) in enumerate(zip(tasks, result)):
             assert tr.population.members == tr.pareto == [tr.strategy]
             assert tr.population.task == TaskDescriptor(task.name, position, 5)
-            assert tr.initial_best == tr.strategy.objectives
-            assert tr.history == []
+            (stat,) = tr.history
+            assert stat.best_g1 == stat.mean_g1 == tr.strategy.objectives.g1
+            assert stat.best_g2 == tr.strategy.objectives.g2
+            assert stat.transfers == {}
 
     @pytest.mark.skipif(driver._OPENBLAS is None, reason="numpy does not bundle OpenBLAS")
     def test_heads_are_trained_on_one_blas_thread_at_d128(self, tmp_path):

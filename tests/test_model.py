@@ -101,7 +101,7 @@ class TestRandomGenotype:
     def test_no_duplicate_indices(self, rng):
         for _ in range(10_000):
             g = random_genotype(rng, 29, 25)
-            idx = g.pool_indices
+            idx = [gene.pool_index for gene in g.genes]
             assert len(idx) == len(set(idx))
 
     def test_seed_determinism(self):

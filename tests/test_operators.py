@@ -85,7 +85,7 @@ class TestCrossover:
         p1 = make_genotype((0, "add", 0.5, 0.5), 1)
         p2 = make_genotype((0, "mul", 1.5, 1.5), 2)
         child = crossover(p1, p2, 10, ScriptedRng(ints=[2, 0]))
-        indices = child.pool_indices
+        indices = [g.pool_index for g in child.genes]
         assert indices.count(0) == 1
         # first occurrence (from p1) wins
         assert child.genes[0].op == "add"
@@ -269,7 +269,8 @@ class TestBatchDe:
             else:
                 batch = [random_genotype(rng, 9, 6) for _ in range(size)]
                 best = random_genotype(rng, 9, 6)
-            disjoint += all(not set(best.pool_indices) & set(g.pool_indices) for g in batch)
+            best_indices = {gene.pool_index for gene in best.genes}
+            disjoint += all(best_indices.isdisjoint(gene.pool_index for gene in g.genes) for g in batch)
             cfg = self.cfg(de_apply_prob=float(rng.random()), de_F=float(rng.uniform(0.0, 1.5)),
                            de_CR=float(rng.random()))
             seed = int(rng.integers(2**32))
@@ -301,7 +302,7 @@ class TestGenerateOffspring:
         for _ in range(100):
             child, source = generate_offspring(pop, nbhd, cfg, rng)
             assert source == 1
-            hits += 5 in child.pool_indices
+            hits += 5 in [g.pool_index for g in child.genes]
         assert hits > 0  # the elite's gene does flow in through crossover
 
     def test_empty_neighborhood_falls_back_to_tournament(self):
