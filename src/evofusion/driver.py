@@ -82,6 +82,14 @@ def _population_stats(pop: TaskPopulation, transfers) -> GenerationStats:
     )
 
 
+def _check_pool_values(entry: np.ndarray, where: str) -> None:
+    """Reject NaN, +-inf and any |v| beyond float32's maximum. min and max
+    propagate NaN and, unlike np.abs, allocate nothing."""
+    top = float(np.finfo(np.float32).max)
+    if not (entry.min(initial=0.0) >= -top and entry.max(initial=0.0) <= top):
+        raise ValueError(f"{where} holds NaN, an infinity or a value beyond float32's range")
+
+
 def _validate_tasks(tasks: list[TaskData]) -> list[TaskDescriptor]:
     """Check every task and describe each by its index in ``tasks``."""
     if not tasks:
@@ -97,6 +105,8 @@ def _validate_tasks(tasks: list[TaskData]) -> list[TaskDescriptor]:
         (shape,) = shapes
         if len(shape) != 2:
             raise ValueError(f"task {name}: pool entries must be 2-D, got shape {shape}")
+        for k, entry in enumerate(task.pool):
+            _check_pool_values(entry, f"task {name}: pool entry {k}")
         if task.labels.ndim != 1 or shape[0] != rows:
             raise ValueError(f"task {name}: {shape[0]} pool rows but labels of shape {task.labels.shape}")
         if not ((task.labels == 0) | (task.labels == 1)).all():
@@ -138,6 +148,7 @@ def predict(strategy: Individual, pool: list[np.ndarray]) -> np.ndarray:
     for i, entry in enumerate(pool):
         if entry.ndim != 2 or entry.shape[1] != d:
             raise ValueError(f"pool entry {i} has shape {entry.shape}, head expects {d} columns")
+        _check_pool_values(entry, f"pool entry {i}")
     fused = fuse_genotype(strategy.genotype, pool)
     return strategy.proxy.scores(fused)
 
@@ -157,15 +168,13 @@ def run_naive_mean(tasks: list[TaskData], proxy_cfg: ProxyConfig) -> list[TaskRe
     Each task's population, Pareto set and strategy are the one naive-mean
     individual, and its history holds generation 0 alone. Like the search,
     it runs on one BLAS thread. Raises ValueError when a task fails the
-    checks of run_evolution or its evaluation fails.
+    checks of run_evolution.
     """
     results = []
     with _one_blas_thread():
         for d, task in zip(_validate_tasks(tasks), tasks):
             ind = Individual(d.position * ID_STRIDE, d.position, naive_mean_genotype(d.pool_size))
             evaluate_individual(ind, task, proxy_cfg)
-            if ind.failed:
-                raise ValueError(f"naive mean evaluation failed on task {d.name}")
             pop = TaskPopulation(d, [ind])
             results.append(_task_result(pop, [_population_stats(pop, {})]))
     return results
@@ -192,9 +201,9 @@ class _TaskState:
         hit = self.eval_cache.get(ind.genotype)
         if hit is None:
             evaluate_individual(ind, self.task, proxy_cfg)
-            self.eval_cache[ind.genotype] = (ind.objectives, ind.proxy, ind.failed)
+            self.eval_cache[ind.genotype] = (ind.objectives, ind.proxy)
         else:
-            ind.objectives, ind.proxy, ind.failed = hit
+            ind.objectives, ind.proxy = hit
 
 
 def _init_task(state: _TaskState, cfg: EvoConfig, proxy_cfg: ProxyConfig) -> None:

@@ -102,6 +102,7 @@ class Individual:
     genotype: Genotype
     objectives: ObjectiveVector | None = None
     proxy: Any = None
+    # never set, as no evaluation can fail; the benchmark's tracer reads it
     failed: bool = False
 
     def sort_key(self) -> tuple[float, float, int]:

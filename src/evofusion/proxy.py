@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fusion import FusionOverflowError, Standardizer, fit_standardizer, fuse_genotype
+from .fusion import Standardizer, fit_standardizer, fuse_genotype
 from .metrics import auprc, confusion, fpr
 from .model import Individual, ObjectiveVector
 
@@ -19,9 +19,6 @@ DECISION_THRESHOLD = 0.5
 NEWTON_JITTER = 1.0e-8
 ARMIJO_C = 1.0e-4
 MAX_HALVINGS = 50
-
-# worst-case objectives assigned when an evaluation cannot complete
-FAILURE_OBJECTIVES = ObjectiveVector(1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -187,27 +184,20 @@ def train_head(fused_train: np.ndarray, labels_train, cfg: ProxyConfig) -> Proxy
 
 
 def evaluate_individual(ind: Individual, task, cfg: ProxyConfig) -> ObjectiveVector:
-    """Evaluate one individual against a task's pool and split.
+    """Evaluate one individual against a task's pool and split, and store
+    the objectives and the trained proxy on the individual.
 
-    ``task`` must provide pool, labels and n_train (see data.TaskData).
-    Fusion overflow marks the individual failed with worst-case
-    objectives (1, 1) instead of aborting the generation. Stores the
-    trained proxy on the individual.
+    ``task`` must provide pool, labels and n_train (see data.TaskData),
+    with the pool values that ``fuse_genotype`` requires; the driver
+    checks them before a run, so no evaluation can fail.
     """
     n = task.n_train
-    try:
-        fused = fuse_genotype(ind.genotype, task.pool)
-        model = train_head(fused[:n], task.labels[:n], cfg)
-    except FusionOverflowError:
-        ind.objectives = FAILURE_OBJECTIVES
-        ind.proxy = None
-        ind.failed = True
-        return ind.objectives
+    fused = fuse_genotype(ind.genotype, task.pool)
+    model = train_head(fused[:n], task.labels[:n], cfg)
     probs = model.scores(fused[n:])
     y_val = task.labels[n:]
     g1 = min(max(1.0 - auprc(probs, y_val), 0.0), 1.0)
     g2 = fpr(confusion(probs, y_val, DECISION_THRESHOLD))
     ind.objectives = ObjectiveVector(g1, g2)
     ind.proxy = model
-    ind.failed = False
     return ind.objectives

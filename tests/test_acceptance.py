@@ -51,17 +51,20 @@ def criterion(num, name):
 
 
 def peel_fronts_oracle(objs: np.ndarray):
-    """Repeated peeling: each round recomputes pairwise dominance over
-    the remaining points and removes the undominated layer."""
-    remaining = np.arange(objs.shape[0])
+    """Peeling by dominator counts over one pairwise dominance matrix:
+    each round removes the remaining points that no remaining point
+    dominates, and takes their dominance off the counts."""
+    le = (objs[:, None, :] <= objs[None, :, :]).all(axis=2)
+    lt = (objs[:, None, :] < objs[None, :, :]).any(axis=2)
+    dominates = le & lt  # dominates[i, j]: point i dominates point j
+    count = dominates.sum(axis=0)
+    remaining = np.ones(objs.shape[0], dtype=bool)
     fronts = []
-    while remaining.size:
-        sub = objs[remaining]
-        le = (sub[:, None, :] <= sub[None, :, :]).all(axis=2)
-        lt = (sub[:, None, :] < sub[None, :, :]).any(axis=2)
-        dominated = (le & lt).any(axis=0)
-        fronts.append([int(i) for i in remaining[~dominated]])
-        remaining = remaining[dominated]
+    while remaining.any():
+        front = remaining & (count == 0)
+        fronts.append([int(i) for i in np.flatnonzero(front)])
+        remaining &= ~front
+        count -= dominates[front].sum(axis=0)
     return fronts
 
 

