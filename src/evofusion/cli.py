@@ -38,7 +38,7 @@ from .driver import TaskResult, predict, run_evolution, run_naive_mean
 from .metrics import auprc, confusion, fpr, mcc, supplementary_metrics
 from .model import aligned_pool_size
 from .operators import EvoConfig
-from .proxy import DECISION_THRESHOLD, ProxyConfig
+from .proxy import DECISION_THRESHOLD, ProxyConfig, score_rows
 
 SUMMARY_KEYS = ("auprc", "mcc", "fpr", "sen", "pre", "spe", "acc")
 
@@ -152,8 +152,9 @@ def _write_outputs(out_dir: Path, tasks: list[TaskData], results: list[TaskResul
                 row = [generation, name, repr(stat.best_g1), repr(stat.best_g2), repr(stat.mean_g1)]
                 row += [stat.transfers.get(task_names.index(n), 0) for n in others]
                 writer.writerow(row)
-        probs = predict(result.strategy, task.pool)[task.n_train :]
-        summary_lines += _task_summary_lines(name, _metrics(probs, task.labels[task.n_train :]))
+        strategy, n = result.strategy, task.n_train
+        probs = score_rows(strategy.genotype, strategy.proxy, task.pool, n, task.labels.size)
+        summary_lines += _task_summary_lines(name, _metrics(probs, task.labels[n:]))
     (out_dir / "summary.out").write_text("\n".join(summary_lines), encoding="utf-8")
 
 
@@ -197,7 +198,7 @@ def cmd_predict(args) -> int:
     strategy, pool_size = load_strategy(args.strategy)
     pool = read_pool_dir(args.pool_dir, pool_size, strategy.proxy.coefficients.shape[0])
     probs = predict(strategy, pool)
-    Path(args.out).write_text("".join(f"{float(p)!r}\n" for p in probs), encoding="utf-8")
+    Path(args.out).write_text("\n".join(map(repr, probs.tolist())) + "\n", encoding="utf-8")
     print(f"{probs.size} probabilities written to {args.out}")
     return 0
 

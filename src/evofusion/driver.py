@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import TaskData
-from .fusion import fuse_genotype
 from .model import (
     FusionGene,
     Genotype,
@@ -40,7 +39,7 @@ from .model import (
 from .neighborhood import build_neighborhoods, publish_elites
 from .nsga3 import environmental_selection, nondominated_sort
 from .operators import EvoConfig, batch_de, generate_offspring
-from .proxy import ProxyConfig, evaluate_individual
+from .proxy import ProxyConfig, evaluate_individual, score_rows
 
 # id space: each task owns a disjoint block, keeping ids unique and
 # schedule-independent
@@ -141,16 +140,20 @@ def select_strategy(pareto: list[Individual]) -> Individual:
 
 def predict(strategy: Individual, pool: list[np.ndarray]) -> np.ndarray:
     """Score a pool with a trained strategy: fuse, standardize, apply
-    the stored head, sigmoid. Returns one probability per row."""
+    the stored head, sigmoid, one block of rows at a time (see
+    proxy.score_rows). Returns one probability per row. Raises
+    ValueError before any scoring unless every entry has the shape of
+    entry 0, with the head's column count, and bounded values."""
     if strategy.proxy is None:
         raise ValueError("strategy has no trained head")
     d = strategy.proxy.coefficients.shape[0]
     for i, entry in enumerate(pool):
         if entry.ndim != 2 or entry.shape[1] != d:
             raise ValueError(f"pool entry {i} has shape {entry.shape}, head expects {d} columns")
+        if entry.shape != pool[0].shape:
+            raise ValueError(f"pool entry {i} has shape {entry.shape}, pool entry 0 has {pool[0].shape}")
         _check_pool_values(entry, f"pool entry {i}")
-    fused = fuse_genotype(strategy.genotype, pool)
-    return strategy.proxy.scores(fused)
+    return score_rows(strategy.genotype, strategy.proxy, pool, 0, pool[0].shape[0])
 
 
 def naive_mean_genotype(pool_size: int) -> Genotype:

@@ -98,7 +98,10 @@ def normalize(objs) -> np.ndarray:
     E = T[extreme_rows]
     try:
         plane = np.linalg.solve(E, np.ones(M))
-        intercepts = 1.0 / plane
+        # a singular system of subnormal extremes can pass the solve with a
+        # zero or subnormal plane; its infinite intercepts fail the test below
+        with np.errstate(divide="ignore", over="ignore"):
+            intercepts = 1.0 / plane
         if np.isfinite(intercepts).all() and (intercepts > 0).all():
             scale = np.where(intercepts >= INTERCEPT_FLOOR * span, intercepts, span)
     except np.linalg.LinAlgError:

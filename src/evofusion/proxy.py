@@ -9,7 +9,7 @@ import numpy as np
 
 from .fusion import Standardizer, fit_standardizer, fuse_genotype
 from .metrics import auprc, confusion, fpr
-from .model import Individual, ObjectiveVector
+from .model import Genotype, Individual, ObjectiveVector
 
 PROB_EPS = 1.0e-7
 DECISION_THRESHOLD = 0.5
@@ -19,6 +19,14 @@ DECISION_THRESHOLD = 0.5
 NEWTON_JITTER = 1.0e-8
 ARMIJO_C = 1.0e-4
 MAX_HALVINGS = 50
+
+# Scoring fuses, standardizes and scores this many bytes of float64 rows at
+# a time: the fused block, the fusion scratch and the standardized copy then
+# stay in cache, and no scoring pass holds a whole L x d matrix. 128-512 KiB
+# timed about the same. A block's product is also far below the size at
+# which OpenBLAS 0.3.31 splits a product over threads (about 460,000
+# elements, measured), so its bits do not depend on the thread count.
+BLOCK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -183,18 +191,47 @@ def train_head(fused_train: np.ndarray, labels_train, cfg: ProxyConfig) -> Proxy
     return ProxyModel(w, b, standardizer)
 
 
+def block_rows(d: int) -> int:
+    """Rows in one scoring block at width d: a multiple of four, since
+    OpenBLAS's matrix-vector kernels take rows in fours from the first
+    row, so the blocks of a range group its rows as one product would."""
+    return max(4, BLOCK_BYTES // (8 * max(d, 1)) // 4 * 4)
+
+
+def score_rows(
+    genotype: Genotype, model: ProxyModel, pool: list[np.ndarray], start: int, stop: int
+) -> np.ndarray:
+    """Probabilities for rows [start, stop) of a pool, fused, standardized
+    and scored one block of ``block_rows`` rows at a time: bit for bit
+    ``model.scores`` of those rows fused as one matrix."""
+    step = block_rows(model.coefficients.shape[0])
+    probs = np.empty(stop - start)
+    lo = start
+    while lo < stop:
+        hi = min(lo + step, stop)
+        if stop - hi == 1:
+            # a one-row product is a dot product, which sums in another order
+            hi = stop
+        probs[lo - start : hi - start] = model.scores(fuse_genotype(genotype, pool, slice(lo, hi)))
+        lo = hi
+    return probs
+
+
 def evaluate_individual(ind: Individual, task, cfg: ProxyConfig) -> ObjectiveVector:
     """Evaluate one individual against a task's pool and split, and store
     the objectives and the trained proxy on the individual.
 
     ``task`` must provide pool, labels and n_train (see data.TaskData),
     with the pool values that ``fuse_genotype`` requires; the driver
-    checks them before a run, so no evaluation can fail.
+    checks them before a run, so no evaluation can fail. A task of at
+    most one block is fused in one call; a longer one fuses its training
+    rows as one matrix and scores its validation rows in blocks.
     """
-    n = task.n_train
-    fused = fuse_genotype(ind.genotype, task.pool)
+    n, rows = task.n_train, task.labels.size
+    whole = rows <= block_rows(task.pool[0].shape[1])
+    fused = fuse_genotype(ind.genotype, task.pool, slice(0, rows if whole else n))
     model = train_head(fused[:n], task.labels[:n], cfg)
-    probs = model.scores(fused[n:])
+    probs = model.scores(fused[n:]) if whole else score_rows(ind.genotype, model, task.pool, n, rows)
     y_val = task.labels[n:]
     g1 = min(max(1.0 - auprc(probs, y_val), 0.0), 1.0)
     g2 = fpr(confusion(probs, y_val, DECISION_THRESHOLD))

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import evofusion.cli
 import evofusion.driver
+import evofusion.proxy
 from evofusion.cli import main
 from evofusion.data import read_fmat, read_manifest, tail_split, write_fmat
 from test_data import tree_digest
@@ -220,6 +221,23 @@ class TestEvolve:
         assert lines[1].split(",")[5] == "0"
         summary = parse_summary(workspace / "runN" / "summary.out")
         assert set(summary) == {"task_00", "task_01"}
+
+    def test_blocks_change_no_output_and_objectives_match_the_summary(self, workspace, monkeypatch):
+        """With 8-row blocks the training rows (120 of 160) span many blocks,
+        and every output keeps the bits of one-block scoring."""
+        assert self.evolve(workspace, "whole") == 0
+        assert self.evolve(workspace, "naive_whole", "--naive-mean") == 0
+        monkeypatch.setattr(evofusion.proxy, "BLOCK_BYTES", 8 * 6 * 8)
+        assert self.evolve(workspace, "blocks") == 0
+        assert self.evolve(workspace, "naive_blocks", "--naive-mean") == 0
+        assert tree_digest(workspace / "blocks") == tree_digest(workspace / "whole")
+        assert tree_digest(workspace / "naive_blocks") == tree_digest(workspace / "naive_whole")
+        summary = parse_summary(workspace / "naive_blocks" / "summary.out")
+        for name, values in summary.items():
+            (line,) = (workspace / "naive_blocks" / f"pareto.{name}.out").read_text().splitlines()
+            member = json.loads(line)
+            assert member["g1"] == min(max(1.0 - values["auprc"], 0.0), 1.0)
+            assert member["g2"] == values["fpr"]
 
     def test_redundant_flags_warn_but_run(self, workspace, capsys):
         assert self.evolve(workspace, "runW", "--naive-mean", "--no-enm") == 0

@@ -1,5 +1,6 @@
 import os
 import subprocess
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -431,6 +432,33 @@ class TestPredict:
             predict(ind, [rng.normal(size=(6, 5))])
         with pytest.raises(ValueError, match=r"pool entry 1 has shape \(3,\)"):
             predict(ind, [rng.normal(size=(6, 4)), np.zeros(3)])
+
+    def test_entries_of_another_shape_rejected_before_scoring(self, rng, monkeypatch):
+        """Scoring takes the row count from entry 0, so a longer entry,
+        even one the genotype does not use, is an error."""
+        model = ProxyModel(np.zeros(4), 0.0, Standardizer(np.zeros(4), np.ones(4)))
+        ind = Individual(0, 0, make_genotype(0), objectives=ObjectiveVector(0.5, 0.5), proxy=model)
+        monkeypatch.setattr(driver, "score_rows", no_evaluation)
+        pool = [rng.normal(size=(6, 4)), rng.normal(size=(6, 4)), rng.normal(size=(9, 4))]
+        with pytest.raises(ValueError, match=r"pool entry 2 has shape \(9, 4\), pool entry 0 has \(6, 4\)"):
+            predict(ind, pool)
+
+    def test_peak_memory_below_one_fused_matrix(self, rng):
+        """Scoring in blocks holds the pool and one block, never a whole
+        20,000 x 64 float64 matrix (10.24 MB)."""
+        L, d = 20_000, 64
+        pool = [rng.normal(size=(L, d)).astype(np.float32) for _ in range(3)]
+        model = ProxyModel(rng.normal(size=d), 0.1, Standardizer(np.zeros(d), np.ones(d)))
+        g = make_genotype(0, (1, "add", 1.0, 1.0), (2, "mul", 0.5, 1.5))
+        ind = Individual(0, 0, g, objectives=ObjectiveVector(0.5, 0.5), proxy=model)
+        tracemalloc.start()
+        try:
+            probs = predict(ind, pool)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert probs.shape == (L,)
+        assert peak < L * d * 8
 
     @pytest.mark.parametrize("value", UNBOUNDED_VALUES)
     def test_pool_value_beyond_float32_rejected(self, rng, value):

@@ -177,8 +177,8 @@ class TestFuseGenotype:
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=genotypes_over_mixed_pools())
-def test_fold_is_float64_reference_bit_for_bit(case):
+@given(case=genotypes_over_mixed_pools(), rows=st.slices(4))
+def test_fold_is_float64_reference_bit_for_bit(case, rows):
     g, pool = case
     expected = reference_fold(g, pool)
     out = fuse_genotype(g, pool)
@@ -187,6 +187,10 @@ def test_fold_is_float64_reference_bit_for_bit(case):
     assert np.isfinite(out).all()
     if len(g) > 1:
         assert np.abs(out).max() <= CLAMP_LIMIT
+    # the fold is elementwise, so folding some rows gives those rows' bits
+    part = fuse_genotype(g, pool, rows)
+    assert part.dtype == np.float64 and part.shape == out[rows].shape
+    assert part.tobytes() == out[rows].tobytes()
 
 
 class TestNoMutation:

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from evofusion import proxy
 from evofusion.data import TaskData
+from evofusion.fusion import fuse_genotype
 from evofusion.metrics import auprc
 from evofusion.model import Individual, ObjectiveVector
 from evofusion.proxy import (
@@ -12,6 +14,7 @@ from evofusion.proxy import (
     fit_focal_logistic,
     focal_logistic_loss_and_grad,
     focal_terms,
+    score_rows,
     sigmoid,
     train_head,
 )
@@ -267,3 +270,41 @@ class TestEvaluateIndividual:
             ind = Individual(i, 0, random_genotype(rng, 3, 3))
             obj = evaluate_individual(ind, task, ProxyConfig())
             assert 0.0 <= obj.g1 <= 1.0 and 0.0 <= obj.g2 <= 1.0
+
+
+class TestScoreRows:
+    """The block scorer against one product over the same rows. A product
+    takes its rows in fours from its first row, and a one-row product is
+    a dot product, so it also matches the scores of the whole pool on any
+    range of two or more rows that starts at a multiple of four."""
+
+    L, D = 37, 8
+
+    @pytest.fixture
+    def case(self, rng):
+        pool = [rng.normal(size=(self.L, self.D)).astype(np.float32) for _ in range(3)]
+        g = make_genotype(2, (0, "mul", 1.3, 0.7), (1, "avg", 0.4, 1.9))
+        fused = fuse_genotype(g, pool)
+        model = train_head(fused[:20], two_class_labels(rng, 20), ProxyConfig(max_iter=30))
+        return g, model, pool, fused
+
+    # 4 and 8 rows a block; 10 rows round down to 8
+    @pytest.mark.parametrize("block", [4, 8, 10])
+    def test_bit_identical_to_one_product(self, case, monkeypatch, block):
+        g, model, pool, fused = case
+        monkeypatch.setattr(proxy, "BLOCK_BYTES", 8 * self.D * block)
+        whole = model.scores(fused)
+        # starts on and off block boundaries; row counts the block size does
+        # not divide, among them a one-row tail
+        for start in range(self.L):
+            for stop in range(start, self.L + 1):
+                got = score_rows(g, model, pool, start, stop)
+                assert got.tobytes() == model.scores(fused[start:stop]).tobytes()
+                if start % 4 == 0 and stop - start != 1:
+                    assert got.tobytes() == whole[start:stop].tobytes()
+
+    def test_block_rows_are_multiples_of_four(self, monkeypatch):
+        assert proxy.block_rows(64) == 512
+        assert proxy.block_rows(6) == 5460
+        monkeypatch.setattr(proxy, "BLOCK_BYTES", 8)
+        assert proxy.block_rows(128) == 4
