@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import sys
 import typing
@@ -28,13 +29,13 @@ from .data import (
     is_json_number,
     load_all_tasks,
     load_strategy,
+    open_pool_dir,
     read_labels,
     read_manifest,
-    read_pool_dir,
     read_predictions,
     save_strategy,
 )
-from .driver import TaskResult, predict, run_evolution, run_naive_mean
+from .driver import TaskResult, run_evolution, run_naive_mean
 from .metrics import auprc, confusion, fpr, mcc, supplementary_metrics
 from .model import aligned_pool_size
 from .operators import EvoConfig
@@ -196,8 +197,9 @@ def cmd_evolve(args) -> int:
 
 def cmd_predict(args) -> int:
     strategy, pool_size = load_strategy(args.strategy)
-    pool = read_pool_dir(args.pool_dir, pool_size, strategy.proxy.coefficients.shape[0])
-    probs = predict(strategy, pool)
+    # the pool stays on disk: score_rows reads and checks one block of every entry at a time
+    pool = open_pool_dir(args.pool_dir, pool_size, strategy.proxy.coefficients.shape[0])
+    probs = score_rows(strategy.genotype, strategy.proxy, pool, 0, pool[0].shape[0])
     Path(args.out).write_text("\n".join(map(repr, probs.tolist())) + "\n", encoding="utf-8")
     print(f"{probs.size} probabilities written to {args.out}")
     return 0
@@ -218,7 +220,12 @@ def cmd_eval(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: a build takes about
+    0.7 ms (2-vCPU x86-64), a third of a small ``predict`` or ``eval``.
+    A cached parser binds the ``cmd_*`` functions when it is built, so
+    replacing one later changes nothing."""
     parser = _Parser(prog="evofusion", description=__doc__)
     sub = parser.add_subparsers(dest="command")
 

@@ -13,8 +13,15 @@ Benchmark directory layout
 
 The layout is the schema for file names: a task's pool is every
 ``pool_<k>.fmat`` in its directory, numbered 0 .. 2T-2, and
-``read_pool_dir`` is the one reader of it (``evolve`` and ``predict``
-both call it). The manifest names no files. It holds
+``open_pool_dir`` is the one reader of it: it checks the directory and
+every file's header and size, and returns the entries as ``FmatFile``
+objects left on disk. ``predict`` scores those, reading one block of
+rows of every entry at a time (see proxy.score_rows); ``evolve`` reads
+them whole (``read_pool_dir``). Either way every value is checked as it
+is read. So when several files are bad, a header or size error is
+reported before a bad value, and for ``predict`` a bad value in an
+earlier block before one in an earlier file. The manifest names no
+files. It holds
 ``schema_version`` (1), ``tasks`` (task names in lexicographic order;
 each is a plain directory name) and ``entries``, which maps each name
 to its ``residues`` and ``feature_dim`` (checked against the files),
@@ -28,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import struct
 import sys
@@ -84,27 +92,61 @@ def write_fmat(m: np.ndarray, path) -> None:
         fh.write(payload)
 
 
-def read_fmat(path) -> np.ndarray:
-    """Read an FMAT file; malformed content or a non-finite value raises FormatError."""
-    data = Path(path).read_bytes()
-    magic = data[: len(FMAT_MAGIC)]
+def _fmat_shape(fh, path) -> tuple[int, int]:
+    """Check the header and the size of an FMAT file open for binary
+    reading, and return its (rows, cols)."""
+    head = fh.read(FMAT_HEADER_LEN)
+    magic = head[: len(FMAT_MAGIC)]
     if magic != FMAT_MAGIC[: len(magic)]:
         raise FormatError(path, "bad magic bytes", 0)
-    if len(data) < FMAT_HEADER_LEN:
-        raise FormatError(path, "truncated header", len(data))
-    rows, cols = struct.unpack_from("<II", data, len(FMAT_MAGIC))
+    if len(head) < FMAT_HEADER_LEN:
+        raise FormatError(path, "truncated header", len(head))
+    rows, cols = struct.unpack_from("<II", head, len(FMAT_MAGIC))
     if rows < 1 or cols < 1:
         raise FormatError(path, f"invalid dimensions {rows}x{cols}", len(FMAT_MAGIC))
     expected = FMAT_HEADER_LEN + rows * cols * 4
-    if len(data) < expected:
-        raise FormatError(path, f"truncated payload, expected {expected} bytes", len(data))
-    if len(data) > expected:
+    size = os.fstat(fh.fileno()).st_size
+    if size < expected:
+        raise FormatError(path, f"truncated payload, expected {expected} bytes", size)
+    if size > expected:
         raise FormatError(path, "trailing bytes after payload", expected)
-    flat = np.frombuffer(data, dtype="<f4", offset=FMAT_HEADER_LEN)
+    return rows, cols
+
+
+def read_fmat(path, rows: slice = slice(None)) -> np.ndarray:
+    """Read the given rows (a slice with step 1; by default all) of an FMAT
+    file. Every call checks the header and the file size and reads only
+    those rows; malformed content, or a non-finite value among the rows
+    read, raises the FormatError a whole read would, at the same offset."""
+    with open(path, "rb") as fh:
+        count, cols = _fmat_shape(fh, path)
+        lo, hi, step = rows.indices(count)
+        if step != 1:
+            raise ValueError(f"FMAT rows must be a slice with step 1, got {rows}")
+        start, size = FMAT_HEADER_LEN + 4 * cols * lo, 4 * cols * max(hi - lo, 0)
+        fh.seek(start)
+        data = fh.read(size)
+    if len(data) < size:  # the file shrank after its size was checked
+        raise FormatError(path, f"truncated payload, expected {start + size} bytes", start + len(data))
+    flat = np.frombuffer(data, dtype="<f4")
     finite = np.isfinite(flat)
     if not finite.all():
-        raise FormatError(path, "non-finite value", FMAT_HEADER_LEN + 4 * int(np.argmin(finite)))
-    return flat.reshape(rows, cols).copy()
+        raise FormatError(path, "non-finite value", start + 4 * int(np.argmin(finite)))
+    return flat.reshape(-1, cols).copy()
+
+
+@dataclass(frozen=True)
+class FmatFile:
+    """A pool entry left on disk: its path and the shape its header gives.
+    ``entry[lo:hi]`` reads and checks those rows through ``read_fmat``, so
+    a scorer that takes its blocks as ``entry[lo:hi]`` (proxy.score_rows)
+    holds one block of each entry, not the whole pool."""
+
+    path: Path
+    shape: tuple[int, int]
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return read_fmat(self.path, rows)
 
 
 @dataclass(frozen=True)
@@ -217,10 +259,10 @@ def tail_split(residues: int, val_ratio: float) -> int:
 
 def read_labels(path, expected_len: int | None = None) -> np.ndarray:
     text = Path(path).read_text(encoding="utf-8", errors="replace")
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if any(ln not in ("0", "1") for ln in lines):
+    lines = list(filter(None, map(str.strip, text.splitlines())))
+    if not set(lines) <= {"0", "1"}:
         raise ValueError(f"label file {path} must contain one 0/1 per line")
-    labels = np.array([int(ln) for ln in lines], dtype=np.int8)
+    labels = np.frombuffer("".join(lines).encode("ascii"), dtype=np.int8) - np.int8(ord("0"))
     if expected_len is not None and labels.size != expected_len:
         raise ValueError(f"label file {path} has {labels.size} rows, expected {expected_len}")
     return labels
@@ -254,12 +296,13 @@ class TaskData:
     n_train: int
 
 
-def read_pool_dir(pool_dir, size: int, columns: int, rows: int | None = None) -> list[np.ndarray]:
-    """Read ``pool_0.fmat`` ... ``pool_<size-1>.fmat`` from ``pool_dir``,
-    in index order. The directory must hold exactly those ``pool_<k>.fmat``
-    files, and every entry must be ``rows`` x ``columns`` (``rows``
-    defaults to that of ``pool_0.fmat``); otherwise ValueError names the
-    directory or the offending file."""
+def open_pool_dir(pool_dir, size: int, columns: int, rows: int | None = None) -> list[FmatFile]:
+    """The entries ``pool_0.fmat`` ... ``pool_<size-1>.fmat`` of
+    ``pool_dir``, in index order, left on disk. The directory must hold
+    exactly those ``pool_<k>.fmat`` files, and every file's header must
+    give ``rows`` x ``columns`` (``rows`` defaults to that of
+    ``pool_0.fmat``) and match its size; otherwise ValueError names the
+    directory or the offending file. Values are checked as rows are read."""
     pool_dir = Path(pool_dir)
     found = {p.name for p in pool_dir.iterdir() if re.fullmatch(r"pool_\d+\.fmat", p.name)}
     if found != {f"pool_{k}.fmat" for k in range(len(found))}:
@@ -269,12 +312,18 @@ def read_pool_dir(pool_dir, size: int, columns: int, rows: int | None = None) ->
     pool = []
     for k in range(size):
         path = pool_dir / f"pool_{k}.fmat"
-        matrix = read_fmat(path)
-        rows = matrix.shape[0] if rows is None else rows
-        if matrix.shape != (rows, columns):
-            raise ValueError(f"pool file {path}: shape {matrix.shape} does not match ({rows}, {columns})")
-        pool.append(matrix)
+        with open(path, "rb") as fh:
+            shape = _fmat_shape(fh, path)
+        rows = shape[0] if rows is None else rows
+        if shape != (rows, columns):
+            raise ValueError(f"pool file {path}: shape {shape} does not match ({rows}, {columns})")
+        pool.append(FmatFile(path, shape))
     return pool
+
+
+def read_pool_dir(pool_dir, size: int, columns: int, rows: int | None = None) -> list[np.ndarray]:
+    """The entries of ``open_pool_dir``, each read whole into memory."""
+    return [read_fmat(entry.path) for entry in open_pool_dir(pool_dir, size, columns, rows)]
 
 
 def load_task(manifest: PoolManifest, task_position: int) -> TaskData:

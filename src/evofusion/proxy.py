@@ -198,12 +198,15 @@ def block_rows(d: int) -> int:
     return max(4, BLOCK_BYTES // (8 * max(d, 1)) // 4 * 4)
 
 
-def score_rows(
-    genotype: Genotype, model: ProxyModel, pool: list[np.ndarray], start: int, stop: int
-) -> np.ndarray:
+def score_rows(genotype: Genotype, model: ProxyModel, pool: list, start: int, stop: int) -> np.ndarray:
     """Probabilities for rows [start, stop) of a pool, fused, standardized
     and scored one block of ``block_rows`` rows at a time: bit for bit
-    ``model.scores`` of those rows fused as one matrix."""
+    ``model.scores`` of those rows fused as one matrix.
+
+    A block is ``[entry[lo:hi] for entry in pool]``, so an entry is an
+    array, whose block is a view, or a ``data.FmatFile``, whose block is
+    read from disk; every entry is sliced, whether the genotype uses it
+    or not, so a pool on disk is read and checked exactly once."""
     step = block_rows(model.coefficients.shape[0])
     probs = np.empty(stop - start)
     lo = start
@@ -212,7 +215,8 @@ def score_rows(
         if stop - hi == 1:
             # a one-row product is a dot product, which sums in another order
             hi = stop
-        probs[lo - start : hi - start] = model.scores(fuse_genotype(genotype, pool, slice(lo, hi)))
+        block = [entry[lo:hi] for entry in pool]
+        probs[lo - start : hi - start] = model.scores(fuse_genotype(genotype, block))
         lo = hi
     return probs
 

@@ -93,3 +93,17 @@ def scan_batch_de(offspring, parent_best, cfg, rng):
         )
         result.append(Genotype(genes))
     return result
+
+
+def line_labels(text: str) -> list[int]:
+    """A label file's 0/1 values, one per non-blank line, parsed line by
+    line; any other line raises ValueError."""
+    labels = []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        if line not in ("0", "1"):
+            raise ValueError(f"not a 0/1 label: {line!r}")
+        labels.append(int(line))
+    return labels

@@ -2,9 +2,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import shutil
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,11 @@ import evofusion.cli
 import evofusion.driver
 import evofusion.proxy
 from evofusion.cli import main
-from evofusion.data import read_fmat, read_manifest, tail_split, write_fmat
+from evofusion.data import read_fmat, read_manifest, save_strategy, tail_split, write_fmat
+from evofusion.driver import naive_mean_genotype
+from evofusion.fusion import Standardizer
+from evofusion.model import Individual, ObjectiveVector
+from evofusion.proxy import ProxyModel
 from test_data import tree_digest
 
 
@@ -486,6 +492,22 @@ def _nan_in_pool(shared: Path, tmp: Path):
     return ["predict", "--strategy", strategy, "--pool-dir", pool_dir, "--out", tmp / "p.txt"], bad
 
 
+def _nan_in_unused_entry(shared: Path, tmp: Path):
+    """A NaN in the last value of pool_2.fmat, which a strategy of pool
+    entry 0 alone never fuses: every entry is still read and checked."""
+    pool_dir = tmp / "pool"
+    shutil.copytree(shared / "bench" / "task_00", pool_dir)
+    bad = pool_dir / "pool_2.fmat"
+    raw = bytearray(bad.read_bytes())
+    raw[-4:] = struct.pack("<f", float("nan"))
+    bad.write_bytes(bytes(raw))
+    doc = json.loads((shared / "runN" / "strategy.task_00.out").read_text())
+    doc["genes"] = [[0, "add", 1.0, 1.0]]
+    strategy = tmp / "strategy.json"
+    strategy.write_text(json.dumps(doc))
+    return ["predict", "--strategy", strategy, "--pool-dir", pool_dir, "--out", tmp / "p.txt"], bad
+
+
 def _missing_labels(shared: Path, tmp: Path):
     (tmp / "pred.txt").write_text("0.5\n" * 4)
     labels = tmp / "nowhere" / "labels.txt"
@@ -591,6 +613,7 @@ def _evolve_out_under_file(shared: Path, tmp: Path):
         pytest.param(_strategy_with_genes([]), id="no-genes"),
         pytest.param(_strategy_with_genes([[-1, "add", 1.0, 1.0]]), id="negative-gene-index"),
         pytest.param(_nan_in_pool, id="nan-in-pool-fmat"),
+        pytest.param(_nan_in_unused_entry, id="nan-in-unused-pool-entry"),
         pytest.param(_missing_labels, id="eval-missing-labels"),
         pytest.param(_labels_without_positives, id="eval-labels-without-positives"),
         pytest.param(_predict_out(parent_is_file=False), id="predict-out-missing-parent"),
@@ -614,10 +637,52 @@ def test_bad_input_or_output_exits_2_naming_the_file(bench, tmp_path, monkeypatc
     monkeypatch.setattr(evofusion.cli, "run_evolution", _search_entered)
     monkeypatch.setattr(evofusion.cli, "run_naive_mean", _search_entered)
     argv, offending = case(bench, tmp_path)
+    fds = open_fds()
     code, err = run_cli(*argv)
     assert code == 2
     assert err.startswith("evofusion: error: ") and err.count("\n") == 1
     assert str(offending) in err
+    assert open_fds() == fds
+    assert not (tmp_path / "p.txt").exists()
+
+
+def open_fds() -> int:
+    """The number of file descriptors this process has open."""
+    return len(os.listdir("/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"))
+
+
+def test_predict_in_blocks_writes_the_one_block_output(bench, tmp_path, monkeypatch):
+    """The 160 rows are one block at d = 6; 8-row blocks read every
+    entry 20 times and change no byte."""
+    argv = ["predict", "--strategy", bench / "runN" / "strategy.task_00.out", "--pool-dir", bench / "bench" / "task_00"]
+    fds = open_fds()
+    assert run_cli(*argv, "--out", tmp_path / "whole.txt")[0] == 0
+    assert open_fds() == fds
+    monkeypatch.setattr(evofusion.proxy, "BLOCK_BYTES", 8 * 6 * 8)
+    assert run_cli(*argv, "--out", tmp_path / "blocks.txt")[0] == 0
+    assert (tmp_path / "blocks.txt").read_bytes() == (tmp_path / "whole.txt").read_bytes()
+    assert open_fds() == fds
+
+
+def test_predict_holds_less_than_one_pool_entry(tmp_path, rng):
+    """``predict`` streams its pool from disk: on a pool of 7 entries of
+    20,000 x 64 (5.12 MB each) its peak stays below one entry."""
+    L, d, size = 20_000, 64, 7
+    for k in range(size):
+        write_fmat(rng.normal(size=(L, d)).astype(np.float32), tmp_path / f"pool_{k}.fmat")
+    model = ProxyModel(rng.normal(size=d) / 8, 0.1, Standardizer(np.zeros(d), np.full(d, 2.0)))
+    strategy = Individual(0, 0, naive_mean_genotype(size), objectives=ObjectiveVector(0.5, 0.5), proxy=model)
+    save_strategy(tmp_path / "strategy.json", strategy, "task_00", size)
+    argv = ["predict", "--strategy", tmp_path / "strategy.json", "--pool-dir", tmp_path, "--out", tmp_path / "p.txt"]
+    tracemalloc.start()
+    try:
+        code, _ = run_cli(*argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len((tmp_path / "p.txt").read_text().splitlines()) == L
+    assert peak < L * d * 4
 
 
 # file to corrupt -> the command that reads it

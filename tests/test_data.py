@@ -1,10 +1,13 @@
 import hashlib
 import json
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from evofusion.data import (
     FMAT_MAGIC,
@@ -28,6 +31,7 @@ from evofusion.model import Individual
 from evofusion.proxy import ProxyConfig, evaluate_individual
 
 from conftest import make_genotype
+from oracles import line_labels
 
 
 def tree_digest(root: Path) -> str:
@@ -37,6 +41,14 @@ def tree_digest(root: Path) -> str:
             h.update(str(path.relative_to(root)).encode())
             h.update(path.read_bytes())
     return h.hexdigest()
+
+
+MALFORMED_FMAT = [
+    b"XMAT1\x00" + bytes(12), FMAT_MAGIC + b"\x01", FMAT_MAGIC + bytes(8),
+    FMAT_MAGIC + struct.pack("<II", 1, 2) + bytes(4), FMAT_MAGIC + struct.pack("<II", 1, 1) + bytes(6),
+    FMAT_MAGIC + struct.pack("<II", 1, 1) + struct.pack("<f", float("nan")),
+]
+MALFORMED_IDS = ["magic", "header", "dimensions", "payload", "trailing", "non-finite"]
 
 
 class TestFmat:
@@ -102,19 +114,30 @@ class TestFmat:
             read_fmat(path)
         assert err.value.offset == 14 + 4 * 5
 
-    @pytest.mark.parametrize(
-        "raw",
-        [b"XMAT1\x00" + bytes(12), FMAT_MAGIC + b"\x01", FMAT_MAGIC + bytes(8),
-         FMAT_MAGIC + struct.pack("<II", 1, 2) + bytes(4), FMAT_MAGIC + struct.pack("<II", 1, 1) + bytes(6),
-         FMAT_MAGIC + struct.pack("<II", 1, 1) + struct.pack("<f", float("nan"))],
-        ids=["magic", "header", "dimensions", "payload", "trailing", "non-finite"],
-    )
+    @pytest.mark.parametrize("raw", MALFORMED_FMAT, ids=MALFORMED_IDS)
     def test_every_format_error_names_the_file(self, tmp_path, raw):
         path = tmp_path / "bad.fmat"
         path.write_bytes(raw)
         with pytest.raises(FormatError, match="byte offset") as err:
             read_fmat(path)
         assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("raw", MALFORMED_FMAT[:-1], ids=MALFORMED_IDS[:-1])
+    def test_every_row_range_checks_the_header_and_size(self, tmp_path, raw):
+        """Even a read of no rows raises the whole read's error."""
+        path = tmp_path / "bad.fmat"
+        path.write_bytes(raw)
+        with pytest.raises(FormatError) as whole:
+            read_fmat(path)
+        for rows in (slice(0, 0), slice(-1, None), slice(5, 9)):
+            with pytest.raises(FormatError) as part:
+                read_fmat(path, rows)
+            assert (str(part.value), part.value.offset) == (str(whole.value), whole.value.offset)
+
+    def test_rows_must_be_contiguous(self, tmp_path):
+        write_fmat(np.ones((4, 2), dtype=np.float32), tmp_path / "m.fmat")
+        with pytest.raises(ValueError, match="step 1"):
+            read_fmat(tmp_path / "m.fmat", slice(None, None, 2))
 
     def test_rejects_non_finite_on_write(self, tmp_path):
         with pytest.raises(ValueError):
@@ -123,6 +146,65 @@ class TestFmat:
     def test_rejects_wrong_rank(self, tmp_path):
         with pytest.raises(ValueError):
             write_fmat(np.zeros(4), tmp_path / "vec.fmat")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.integers(1, 12),
+    cols=st.integers(1, 5),
+    lo=st.none() | st.integers(-14, 14),
+    hi=st.none() | st.integers(-14, 14),
+    nan_at=st.none() | st.tuples(st.integers(0, 11), st.integers(0, 4)),
+)
+@example(rows=6, cols=3, lo=6, hi=None, nan_at=None)  # empty
+@example(rows=6, cols=3, lo=-1, hi=None, nan_at=(5, 2))  # a one-row tail
+@example(rows=6, cols=3, lo=None, hi=None, nan_at=(2, 0))  # the whole file
+def test_row_range_read_is_those_rows_of_the_whole_read(rows, cols, lo, hi, nan_at):
+    """A range read gives the whole read's rows bit for bit, and a NaN
+    among them the whole read's error and offset."""
+    m = np.random.default_rng(rows * 100 + cols).normal(size=(rows, cols)).astype(np.float32)
+    selected = slice(lo, hi)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.fmat"
+        write_fmat(m, path)
+        if nan_at is None:
+            assert read_fmat(path, selected).tobytes() == read_fmat(path)[selected].tobytes()
+            assert read_fmat(path, selected).shape == m[selected].shape
+            return
+        r, c = nan_at[0] % rows, nan_at[1] % cols
+        raw = bytearray(path.read_bytes())
+        raw[14 + 4 * (r * cols + c) : 18 + 4 * (r * cols + c)] = struct.pack("<f", float("nan"))
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError) as whole:
+            read_fmat(path)
+        assert whole.value.offset == 14 + 4 * (r * cols + c)
+        if r in range(rows)[selected]:
+            with pytest.raises(FormatError) as part:
+                read_fmat(path, selected)
+            assert (str(part.value), part.value.offset) == (str(whole.value), whole.value.offset)
+        else:
+            assert read_fmat(path, selected).tobytes() == m[selected].tobytes()
+
+
+LABEL_CHARACTERS = list("0 1 2 a") + ["\t", "\r", "\n", "\v", "\f", "\x1c", "\x85", "\xa0", "\u2028", "\u3000"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(alphabet=st.sampled_from(LABEL_CHARACTERS), max_size=30))
+def test_read_labels_accepts_what_a_line_by_line_parser_accepts(text):
+    try:
+        expected = line_labels(text)
+    except ValueError:
+        expected = None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "labels.txt"
+        path.write_bytes(text.encode("utf-8"))
+        if expected is None:
+            with pytest.raises(ValueError, match="one 0/1 per line"):
+                read_labels(path)
+        else:
+            labels = read_labels(path)
+            assert labels.dtype == np.int8 and labels.tolist() == expected
 
 
 class TestLabelsAndSplit:
