@@ -124,15 +124,17 @@ def read_fmat(path, rows: slice = slice(None)) -> np.ndarray:
         if step != 1:
             raise ValueError(f"FMAT rows must be a slice with step 1, got {rows}")
         start, size = FMAT_HEADER_LEN + 4 * cols * lo, 4 * cols * max(hi - lo, 0)
-        fh.seek(start)
-        data = fh.read(size)
-    if len(data) < size:  # the file shrank after its size was checked
-        raise FormatError(path, f"truncated payload, expected {start + size} bytes", start + len(data))
-    flat = np.frombuffer(data, dtype="<f4")
-    finite = np.isfinite(flat)
+        values = np.empty((max(hi - lo, 0), cols), dtype="<f4")
+        got = 0
+        if size:  # memoryview.cast rejects a zero-size buffer
+            fh.seek(start)
+            got = fh.readinto(memoryview(values).cast("B"))
+    if got < size:  # the file shrank after its size was checked
+        raise FormatError(path, f"truncated payload, expected {start + size} bytes", start + got)
+    finite = np.isfinite(values)
     if not finite.all():
         raise FormatError(path, "non-finite value", start + 4 * int(np.argmin(finite)))
-    return flat.reshape(-1, cols).copy()
+    return values
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ from .model import (
 from .neighborhood import build_neighborhoods, publish_elites
 from .nsga3 import environmental_selection, nondominated_sort
 from .operators import EvoConfig, batch_de, generate_offspring
-from .proxy import ProxyConfig, evaluate_individual, score_rows
+from .proxy import ProxyConfig, evaluate_batch, score_rows
 
 # id space: each task owns a disjoint block, keeping ids unique and
 # schedule-independent
@@ -177,7 +177,7 @@ def run_naive_mean(tasks: list[TaskData], proxy_cfg: ProxyConfig) -> list[TaskRe
     with _one_blas_thread():
         for d, task in zip(_validate_tasks(tasks), tasks):
             ind = Individual(d.position * ID_STRIDE, d.position, naive_mean_genotype(d.pool_size))
-            evaluate_individual(ind, task, proxy_cfg)
+            evaluate_batch([ind], task, proxy_cfg)
             pop = TaskPopulation(d, [ind])
             results.append(_task_result(pop, [_population_stats(pop, {})]))
     return results
@@ -200,23 +200,31 @@ class _TaskState:
         self.next_id += 1
         return self.next_id
 
-    def evaluate(self, ind: Individual, proxy_cfg: ProxyConfig) -> None:
-        hit = self.eval_cache.get(ind.genotype)
-        if hit is None:
-            evaluate_individual(ind, self.task, proxy_cfg)
-            self.eval_cache[ind.genotype] = (ind.objectives, ind.proxy)
-        else:
-            ind.objectives, ind.proxy = hit
+    def evaluate(self, individuals: list[Individual], proxy_cfg: ProxyConfig) -> None:
+        """Evaluate the individuals a generation creates: each genotype
+        not in the cache is evaluated once, all in one batch, and every
+        individual takes its genotype's objectives and head."""
+        fresh: dict[Genotype, list[Individual]] = {}
+        for ind in individuals:
+            hit = self.eval_cache.get(ind.genotype)
+            if hit is None:
+                fresh.setdefault(ind.genotype, []).append(ind)
+            else:
+                ind.objectives, ind.proxy = hit
+        evaluate_batch([same[0] for same in fresh.values()], self.task, proxy_cfg)
+        for genotype, (first, *repeats) in fresh.items():
+            self.eval_cache[genotype] = (first.objectives, first.proxy)
+            for ind in repeats:
+                ind.objectives, ind.proxy = first.objectives, first.proxy
 
 
 def _init_task(state: _TaskState, cfg: EvoConfig, proxy_cfg: ProxyConfig) -> None:
     d = state.population.task
-    members = []
-    for _ in range(cfg.population_size):
-        genotype = random_genotype(state.rng, d.pool_size, cfg.max_feature_length)
-        ind = Individual(state.take_id(), d.position, genotype)
-        state.evaluate(ind, proxy_cfg)
-        members.append(ind)
+    members = [
+        Individual(state.take_id(), d.position, random_genotype(state.rng, d.pool_size, cfg.max_feature_length))
+        for _ in range(cfg.population_size)
+    ]
+    state.evaluate(members, proxy_cfg)
     state.population = TaskPopulation(d, members)
     state.history.append(_population_stats(state.population, {}))
 
@@ -232,11 +240,8 @@ def _advance_task(state: _TaskState, neighborhood: dict, cfg: EvoConfig, proxy_c
         offspring_genotypes.append(child)
     parent_best = min(pop.members, key=Individual.sort_key).genotype
     offspring_genotypes = batch_de(offspring_genotypes, parent_best, cfg, state.rng)
-    offspring = []
-    for genotype in offspring_genotypes:
-        ind = Individual(state.take_id(), pop.task.position, genotype)
-        state.evaluate(ind, proxy_cfg)
-        offspring.append(ind)
+    offspring = [Individual(state.take_id(), pop.task.position, genotype) for genotype in offspring_genotypes]
+    state.evaluate(offspring, proxy_cfg)
     union = pop.members + offspring
     survivors = environmental_selection(union, cfg.population_size, state.rng)
     state.population = TaskPopulation(pop.task, survivors)

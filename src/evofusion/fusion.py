@@ -14,30 +14,37 @@ CLAMP_LIMIT = 1.0e6
 
 @dataclass(frozen=True, eq=False)
 class Standardizer:
-    """Per-column mean/std fitted on training rows only."""
+    """Per-column mean/std fitted on training rows only: of shape (d,) for
+    one matrix of rows, or (B, d) for each matrix of a (B, n, d) stack."""
 
     means: np.ndarray
     stds: np.ndarray
 
     def transform(self, rows: np.ndarray) -> np.ndarray:
-        return (np.asarray(rows, dtype=np.float64) - self.means) / self.stds
+        """(rows - means) / stds in float64, for (m, d) rows, or a (B, m, d)
+        stack with statistics of shape (B, d)."""
+        out = np.subtract(np.asarray(rows, dtype=np.float64), self.means[..., None, :])
+        return np.divide(out, self.stds[..., None, :], out=out)
 
 
 def fit_standardizer(train_rows: np.ndarray) -> Standardizer:
-    """Fit per-column mean and population std; zero-variance columns get
-    std 1 so constant columns transform to exact zeros."""
+    """Fit per-column mean and population std of an (n, d) matrix of
+    training rows, or of each matrix of a (B, n, d) stack; zero-variance
+    columns get std 1 so constant columns transform to exact zeros. A
+    matrix's statistics have the same bits whether it is fitted alone or
+    in a stack."""
     rows = np.asarray(train_rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[0] < 2:
+    if rows.ndim not in (2, 3) or rows.shape[-2] < 2:
         raise ValueError("standardizer needs at least 2 training rows")
     # the operations ndarray.mean and ndarray.std run, in their order,
     # without their Python wrappers and the second pass for the mean
-    n = rows.shape[0]
-    means = rows.sum(axis=0) / n
+    n = rows.shape[-2]
+    means = rows.sum(axis=-2, keepdims=True) / n
     squares = rows - means
     np.multiply(squares, squares, out=squares)
-    stds = np.sqrt(squares.sum(axis=0) / n)
+    stds = np.sqrt(squares.sum(axis=-2) / n)
     stds = np.where(stds > 0.0, stds, 1.0)
-    return Standardizer(means, stds)
+    return Standardizer(means[..., 0, :], stds)
 
 
 def _fuse_into(
@@ -77,7 +84,9 @@ def _fuse_into(
     np.maximum(acc, -CLAMP_LIMIT, out=acc)
 
 
-def fuse_genotype(g: Genotype, pool: list[np.ndarray], rows: slice = slice(None)) -> np.ndarray:
+def fuse_genotype(
+    g: Genotype, pool: list[np.ndarray], rows: slice = slice(None), out: np.ndarray | None = None
+) -> np.ndarray:
     """Left-fold a genotype's genes over the given rows of the pool, one
     ``_fuse_into`` step per gene.
 
@@ -92,11 +101,16 @@ def fuse_genotype(g: Genotype, pool: list[np.ndarray], rows: slice = slice(None)
     Requires gene weights in [WEIGHT_MIN, WEIGHT_MAX] and pool values
     within float32's range (|v| <= 3.4e38): then no float64 intermediate
     exceeds (2 * 3.4e38)^2 = 4.6e77, and the result is finite.
+
+    ``out``, a float64 array of the result's shape, takes the fold in
+    place of a new array.
     """
     first = g.genes[0].pool_index
     if not 0 <= first < len(pool):
         raise IndexError(f"pool index {first} outside pool of {len(pool)} entries")
-    acc = np.array(pool[first][rows], dtype=np.float64)
+    first_rows = pool[first][rows]
+    acc = np.empty(np.shape(first_rows)) if out is None else out
+    acc[...] = first_rows
     scratch = np.empty_like(acc)
     for gene in g.genes[1:]:
         if not 0 <= gene.pool_index < len(pool):

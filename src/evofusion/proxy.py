@@ -110,85 +110,133 @@ def focal_terms(p, y, cfg: ProxyConfig):
 
 
 def _objective(w, b, X, y, cfg: ProxyConfig):
-    """Mean focal loss with ridge penalty on w at (w, b), its gradient, and
-    the per-sample second derivatives in z. Returns (loss, grad_w, grad_b,
-    d2ldz2)."""
-    n = X.shape[0]
-    loss_vec, dldz, d2ldz2 = focal_terms(sigmoid(X @ w + b), y, cfg)
+    """Mean focal loss with ridge penalty on w, its gradient, and the
+    per-sample second derivatives in z, for each member of a stack: X is
+    (B, n, d), w is (B, d) and b is (B,). Returns (loss, grad_w, grad_b,
+    d2ldz2) of shapes (B,), (B, d), (B,) and (B, n).
+
+    Stacked np.matmul makes one BLAS call per member, and every sum runs
+    along a member's own axis, so a member's bits do not depend on the
+    other members of its stack."""
+    n = X.shape[1]
+    z = np.matmul(X, w[:, :, None])[:, :, 0]
+    z += b[:, None]
+    loss_vec, dldz, d2ldz2 = focal_terms(sigmoid(z), y, cfg)
     # sum / n is what ndarray.mean computes, without its Python wrapper
-    loss = float(loss_vec.sum() / n + 0.5 * cfg.ridge_lambda * float(w @ w))
-    grad_w = X.T @ dldz / n + cfg.ridge_lambda * w
-    return loss, grad_w, float(dldz.sum() / n), d2ldz2
+    ww = np.matmul(w[:, None, :], w[:, :, None])[:, 0, 0]
+    loss = loss_vec.sum(axis=1) / n + 0.5 * cfg.ridge_lambda * ww
+    grad_w = np.matmul(X.transpose(0, 2, 1), dldz[:, :, None])[:, :, 0] / n + cfg.ridge_lambda * w
+    return loss, grad_w, dldz.sum(axis=1) / n, d2ldz2
 
 
 def focal_logistic_loss_and_grad(w, b, X, y, cfg: ProxyConfig):
-    """Mean focal loss with ridge penalty on w, and its analytic gradient.
+    """Mean focal loss with ridge penalty on w, and its analytic gradient,
+    for one head on the rows of X.
 
     Returns (loss, grad_w, grad_b). The intercept is unregularized.
     """
     X = np.asarray(X, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
-    return _objective(w, b, X, y, cfg)[:3]
+    loss, grad_w, grad_b, _ = _objective(w[None], np.array([b], dtype=np.float64), X[None], y, cfg)
+    return float(loss[0]), grad_w[0], float(grad_b[0])
 
 
 def fit_focal_logistic(X, y, cfg: ProxyConfig):
-    """Damped Newton from zero initialization.
+    """Damped Newton from zero initialization, for every member of a
+    (B, n, d) stack of training rows that share the labels y.
 
-    Each step solves the (d+1)x(d+1) system on the rows [X, 1]: the
-    Hessian is [X, 1]^T diag(h) [X, 1] / n plus ridge_lambda on the w
-    block, where h is the per-sample curvature in z clipped at 0 (focal
-    loss is not convex in z). NEWTON_JITTER on the diagonal keeps the
-    system solvable when ridge_lambda is 0 and every curvature is
-    clipped. A backtracking line search (Armijo condition) keeps the
-    loss trace non-increasing; the fit stops where no step along the
-    direction lowers the loss.
+    Each step solves, per member, the (d+1)x(d+1) system on the rows
+    [X, 1]: the Hessian is [X, 1]^T diag(h) [X, 1] / n plus ridge_lambda
+    on the w block, where h is the per-sample curvature in z clipped at 0
+    (focal loss is not convex in z). NEWTON_JITTER on the diagonal keeps
+    the system solvable when ridge_lambda is 0 and every curvature is
+    clipped. A backtracking line search (Armijo condition) keeps each
+    loss trace non-increasing; a member stops where no step along its
+    direction lowers its loss.
 
-    Stops after cfg.max_iter Newton steps or when the gradient
-    infinity-norm drops below cfg.grad_tol. Returns (w, b, losses), with
-    one loss per accepted step after the initial one.
+    A member stops after cfg.max_iter Newton steps or when its gradient
+    infinity-norm drops below cfg.grad_tol. Members that stop leave the
+    stack; while every member is active no rows are copied. Every product,
+    solve and sum is per member, so a member's bits are those of fitting
+    it alone (B = 1). Returns (w, b, losses) of shapes (B, d), (B,) and
+    (steps + 1, B): losses[k, m] is member m's loss after k accepted
+    steps, NaN once it has stopped, and steps is the most any member
+    took.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    n, d = X.shape
-    A = np.column_stack([X, np.ones(n)])
+    size, n, d = X.shape
+    A = np.empty((size, n, d + 1))
+    A[:, :, :d] = X
+    A[:, :, d] = 1.0
     regularizer = np.diag(np.append(np.full(d, cfg.ridge_lambda), 0.0) + NEWTON_JITTER)
-    w = np.zeros(d, dtype=np.float64)
-    b = 0.0
+    coef, intercept = np.zeros((size, d)), np.zeros(size)
+    # the active members' numbers in the stack, then their rows and state
+    live = np.arange(size)
+    w, b = coef.copy(), intercept.copy()
     loss, grad_w, grad_b, d2ldz2 = _objective(w, b, X, y, cfg)
     losses = [loss]
     for _ in range(cfg.max_iter):
-        grad = np.concatenate((grad_w, [grad_b]))
-        if float(np.abs(grad).max()) < cfg.grad_tol:
-            break
-        hessian = (A.T * (np.maximum(d2ldz2, 0.0) / n)) @ A + regularizer
-        step = np.linalg.solve(hessian, grad)
-        slope = float(grad @ step)
-        t = 1.0
+        grad = np.concatenate((grad_w, grad_b[:, None]), axis=1)
+        # not "max >= grad_tol": a NaN gradient keeps its member going
+        going = ~(np.abs(grad).max(axis=1) < cfg.grad_tol)
+        if not going.all():
+            coef[live[~going]], intercept[live[~going]] = w[~going], b[~going]
+            live, X, A, w, b, loss, grad, d2ldz2 = (v[going] for v in (live, X, A, w, b, loss, grad, d2ldz2))
+            if not live.size:
+                break
+        hessian = np.matmul((A * (np.maximum(d2ldz2, 0.0) / n)[:, :, None]).transpose(0, 2, 1), A) + regularizer
+        step = np.linalg.solve(hessian, grad[:, :, None])[:, :, 0]
+        slope = np.matmul(grad[:, None, :], step[:, :, None])[:, 0, 0]
+        # Every member still searching tries the same step length t. The
+        # first trial takes all members, through views; later ones take
+        # the members whose trials failed, copying their rows unless that
+        # is every member. Each trial overwrites its members' state, so a
+        # member keeps its accepted trial, or stops and is dropped below.
+        state, pending, t = None, slice(None), 1.0
         for _ in range(MAX_HALVINGS):
-            w_new = w - t * step[:d]
-            b_new = b - t * float(step[d])
-            new = _objective(w_new, b_new, X, y, cfg)
-            if new[0] <= loss - ARMIJO_C * t * slope:
+            trial_w = w[pending] - t * step[pending, :d]
+            trial_b = b[pending] - t * step[pending, d]
+            rows = X if state is None or pending.size == live.size else X[pending]
+            trial = (trial_w, trial_b, *_objective(trial_w, trial_b, rows, y, cfg))
+            ok = trial[2] <= loss[pending] - ARMIJO_C * t * slope[pending]
+            if state is None:
+                state, pending = list(trial), np.flatnonzero(~ok)
+            else:
+                for out, v in zip(state, trial):
+                    out[pending] = v
+                pending = pending[~ok]
+            if not pending.size:
                 break
             t /= 2.0
-        else:
-            return w, b, losses
-        w, b = w_new, b_new
-        loss, grad_w, grad_b, d2ldz2 = new
-        losses.append(loss)
-    return w, b, losses
+        if pending.size:
+            # no step lowered these members' loss: they stop where they are
+            coef[live[pending]], intercept[live[pending]] = w[pending], b[pending]
+            moved = np.ones(live.size, dtype=bool)
+            moved[pending] = False
+            if not moved.any():
+                break
+            live, X, A, *state = (v[moved] for v in (live, X, A, *state))
+        w, b, loss, grad_w, grad_b, d2ldz2 = state
+        row = np.full(size, np.nan)
+        row[live] = loss
+        losses.append(row)
+    coef[live], intercept[live] = w, b
+    return coef, intercept, np.array(losses)
 
 
-def train_head(fused_train: np.ndarray, labels_train, cfg: ProxyConfig) -> ProxyModel:
-    """Standardize the training rows and fit the focal logistic head.
+def train_head(fused_train: np.ndarray, labels_train, cfg: ProxyConfig) -> list[ProxyModel]:
+    """Standardize each member of a (B, n, d) stack of training rows and
+    fit their focal logistic heads in one call; returns the B heads.
     Raises ValueError unless the 0/1 labels hold both classes."""
     labels_train = np.asarray(labels_train)
     if not labels_train.any() or labels_train.all():
         raise ValueError("training labels contain a single class")
-    standardizer = fit_standardizer(fused_train)
-    X = standardizer.transform(fused_train)
-    w, b, _ = fit_focal_logistic(X, labels_train, cfg)
-    return ProxyModel(w, b, standardizer)
+    stacked = fit_standardizer(fused_train)
+    w, b, _ = fit_focal_logistic(stacked.transform(fused_train), labels_train, cfg)
+    return [
+        ProxyModel(w[i], float(b[i]), Standardizer(stacked.means[i], stacked.stds[i])) for i in range(len(w))
+    ]
 
 
 def block_rows(d: int) -> int:
@@ -221,24 +269,54 @@ def score_rows(genotype: Genotype, model: ProxyModel, pool: list, start: int, st
     return probs
 
 
-def evaluate_individual(ind: Individual, task, cfg: ProxyConfig) -> ObjectiveVector:
-    """Evaluate one individual against a task's pool and split, and store
-    the objectives and the trained proxy on the individual.
+def evaluate_individual(ind: Individual, task, model: ProxyModel, fused: np.ndarray) -> ObjectiveVector:
+    """Score an individual's trained head on the task's validation rows,
+    and store the objectives and the head on the individual.
 
-    ``task`` must provide pool, labels and n_train (see data.TaskData),
-    with the pool values that ``fuse_genotype`` requires; the driver
-    checks them before a run, so no evaluation can fail. A task of at
-    most one block is fused in one call; a longer one fuses its training
-    rows as one matrix and scores its validation rows in blocks.
+    ``fused`` is the individual's fusion of the task's first rows: all of
+    them, whose validation rows are then scored as they are, or the
+    training rows alone, and the validation rows are fused and scored in
+    blocks (see evaluate_batch).
     """
     n, rows = task.n_train, task.labels.size
-    whole = rows <= block_rows(task.pool[0].shape[1])
-    fused = fuse_genotype(ind.genotype, task.pool, slice(0, rows if whole else n))
-    model = train_head(fused[:n], task.labels[:n], cfg)
-    probs = model.scores(fused[n:]) if whole else score_rows(ind.genotype, model, task.pool, n, rows)
+    if fused.shape[0] == rows:
+        probs = model.scores(fused[n:])
+    else:
+        probs = score_rows(ind.genotype, model, task.pool, n, rows)
     y_val = task.labels[n:]
     g1 = min(max(1.0 - auprc(probs, y_val), 0.0), 1.0)
     g2 = fpr(confusion(probs, y_val, DECISION_THRESHOLD))
     ind.objectives = ObjectiveVector(g1, g2)
     ind.proxy = model
     return ind.objectives
+
+
+def evaluate_batch(individuals: list[Individual], task, cfg: ProxyConfig) -> list[ObjectiveVector]:
+    """Evaluate individuals against a task's pool and split: fuse, train
+    the focal logistic head on the training rows, score (1 - AUPRC, FPR)
+    on the validation rows. Stores the objectives and the trained head on
+    each individual and returns the objectives.
+
+    ``task`` must provide pool, labels and n_train (see data.TaskData),
+    with the pool values that ``fuse_genotype`` requires; the driver
+    checks them before a run, so no evaluation can fail. The heads are
+    trained in stacks of as many individuals as BLOCK_BYTES holds of
+    their (n, d + 1) design matrices, and at least one, with one
+    ``train_head`` call per stack; a head's bits do not depend on its
+    stack. A task of at most one block is fused in one call per
+    individual; a longer one fuses its training rows as one matrix and
+    scores its validation rows in blocks.
+    """
+    n, rows = task.n_train, task.labels.size
+    d = task.pool[0].shape[1]
+    fused_rows = rows if rows <= block_rows(d) else n
+    size = max(1, BLOCK_BYTES // (8 * n * (d + 1)))
+    for lo in range(0, len(individuals), size):
+        chunk = individuals[lo : lo + size]
+        fused = np.empty((len(chunk), fused_rows, d))
+        for ind, out in zip(chunk, fused):
+            fuse_genotype(ind.genotype, task.pool, slice(0, fused_rows), out=out)
+        models = train_head(fused[:, :n], task.labels[:n], cfg)
+        for ind, model, rows_fused in zip(chunk, models, fused):
+            evaluate_individual(ind, task, model, rows_fused)
+    return [ind.objectives for ind in individuals]

@@ -28,7 +28,7 @@ from evofusion.data import (
 )
 from evofusion.metrics import auprc
 from evofusion.model import Individual
-from evofusion.proxy import ProxyConfig, evaluate_individual
+from evofusion.proxy import ProxyConfig, evaluate_batch
 
 from conftest import make_genotype
 from oracles import line_labels
@@ -251,7 +251,7 @@ class TestStrategy:
         cfg = SynthConfig(task_count=2, residues=40, feature_dim=4, positive_rate=0.1, seed=5)
         task = load_task(generate_synthetic(cfg, tmp_path / "bench"), 0)
         ind = Individual(1, 0, make_genotype((2, "add", 1.0, 1.0), (0, "mul", 0.5, 1.5)))
-        evaluate_individual(ind, task, ProxyConfig())
+        evaluate_batch([ind], task, ProxyConfig())
         save_strategy(tmp_path / "strategy.json", ind, "task_00", 3)
         return tmp_path / "strategy.json"
 
@@ -353,7 +353,7 @@ class TestGenerator:
         manifest = generate_synthetic(cfg, tmp_path / "c0")
         task = load_task(manifest, 0)
         ind = Individual(1, 0, make_genotype(1))
-        evaluate_individual(ind, task, ProxyConfig())
+        evaluate_batch([ind], task, ProxyConfig())
         achieved = 1.0 - ind.objectives.g1
         y_val = task.labels[task.n_train :]
         probs = ind.proxy.scores(np.asarray(task.pool[1][task.n_train :], dtype=np.float64))
@@ -374,7 +374,7 @@ class TestGenerator:
         manifest = generate_synthetic(cfg, tmp_path / "c1")
         task = load_task(manifest, 0)
         ind = Individual(1, 0, make_genotype(1))
-        evaluate_individual(ind, task, ProxyConfig())
+        evaluate_batch([ind], task, ProxyConfig())
         assert 1.0 - ind.objectives.g1 > 0.9
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from evofusion import driver
+from evofusion import driver, proxy
 from evofusion.data import SynthConfig, generate_synthetic, load_all_tasks
 from evofusion.driver import (
     WorkerError,
@@ -19,7 +19,7 @@ from evofusion.driver import (
 from evofusion.fusion import Standardizer
 from evofusion.model import Individual, ObjectiveVector, TaskDescriptor
 from evofusion.operators import EvoConfig
-from evofusion.proxy import ProxyConfig, ProxyModel
+from evofusion.proxy import ProxyConfig, ProxyModel, evaluate_batch
 
 from conftest import make_genotype
 
@@ -190,7 +190,7 @@ class TestRunEvolution:
         tasks = small_benchmark(tmp_path)
         tasks[1].labels[: tasks[1].n_train] = label
 
-        monkeypatch.setattr(driver, "evaluate_individual", no_evaluation)
+        monkeypatch.setattr(driver, "evaluate_batch", no_evaluation)
         with pytest.raises(ValueError, match="task task_01: training split"):
             if run == "evolution":
                 run_evolution(tasks, EvoConfig(population_size=8, generations=1, seed=0), FAST_PROXY)
@@ -204,7 +204,7 @@ class TestRunEvolution:
     ):
         tasks = small_benchmark(tmp_path)
         tasks[1].pool[3] = with_value(tasks[1].pool[3], value)
-        monkeypatch.setattr(driver, "evaluate_individual", no_evaluation)
+        monkeypatch.setattr(driver, "evaluate_batch", no_evaluation)
         with pytest.raises(ValueError, match="task task_01: pool entry 3 holds NaN, an infinity or a value beyond"):
             if run == "naive_mean":
                 run_naive_mean(tasks, FAST_PROXY)
@@ -226,6 +226,51 @@ class TestRunEvolution:
         cfg = EvoConfig(population_size=8, generations=2, seed=3)
         for tr in run_evolution(tasks, cfg, FAST_PROXY, workers=2):
             assert all(0.0 <= g <= 1.0 for ind in tr.population.members for g in ind.objectives)
+
+
+class TestTaskStateEvaluate:
+    """A generation's new individuals are evaluated as one list: one head
+    per distinct genotype that the cache does not hold yet."""
+
+    def test_one_head_per_distinct_uncached_genotype(self, tmp_path, monkeypatch):
+        task = small_benchmark(tmp_path)[0]
+        state = driver._TaskState(TaskDescriptor(task.name, 0, len(task.pool)), task, EvoConfig(seed=0))
+        trained, scored = [], []
+        train_head, evaluate_individual = proxy.train_head, proxy.evaluate_individual
+
+        def counting_train_head(stack, labels, cfg):
+            trained.append(len(stack))
+            return train_head(stack, labels, cfg)
+
+        def counting_evaluate_individual(ind, *args):
+            scored.append(ind.id)
+            return evaluate_individual(ind, *args)
+
+        monkeypatch.setattr(proxy, "train_head", counting_train_head)
+        monkeypatch.setattr(proxy, "evaluate_individual", counting_evaluate_individual)
+        g = [make_genotype(k, (k + 1, "mul", 0.5, 1.5)) for k in range(4)]
+        first = [Individual(1, 0, g[0]), Individual(2, 0, g[1]), Individual(3, 0, g[0])]
+        state.evaluate(first, FAST_PROXY)
+        assert sum(trained) == 2 and scored == [1, 2]
+        # g[1] and g[0] are cache hits; g[2] is new and appears twice
+        second = [Individual(4, 0, g[1]), Individual(5, 0, g[2]), Individual(6, 0, g[3]),
+                  Individual(7, 0, g[2]), Individual(8, 0, g[0])]
+        state.evaluate(second, FAST_PROXY)
+        assert sum(trained) == 4 and scored == [1, 2, 5, 6]
+        state.evaluate([Individual(9, 0, g[3])], FAST_PROXY)
+        assert sum(trained) == 4 and scored == [1, 2, 5, 6]
+        by_genotype = {}
+        for ind in first + second:
+            head = by_genotype.setdefault(ind.genotype, (ind.objectives, ind.proxy))
+            assert (ind.objectives, ind.proxy) == head
+            assert ind.proxy is head[1]
+        # every head has the bits of its genotype evaluated alone
+        for genotype, (objectives, head) in by_genotype.items():
+            alone = Individual(99, 0, genotype)
+            evaluate_batch([alone], task, FAST_PROXY)
+            assert alone.objectives == objectives
+            assert alone.proxy.coefficients.tobytes() == head.coefficients.tobytes()
+            assert alone.proxy.intercept == head.intercept
 
 
 @dataclass(frozen=True)

@@ -96,6 +96,19 @@ class TestStandardizer:
             assert s.means.tobytes() == rows64.mean(axis=0).tobytes()
             assert s.stds.tobytes() == np.where(stds > 0.0, stds, 1.0).tobytes()
 
+    def test_stack_members_get_the_bits_of_fitting_alone(self, rng):
+        for _ in range(50):
+            b, n, d = (int(v) for v in rng.integers([1, 2, 1], [6, 300, 130]))
+            # rows of a stack taken from longer matrices, as the proxy does
+            stack = rng.normal(rng.normal(), rng.choice([1e-3, 1.0, 1e5]), size=(b, n + 7, d))[:, :n]
+            stack[0, :, 0] = 3.0
+            s = fit_standardizer(stack)
+            standardized = s.transform(stack)
+            for rows, means, stds, out in zip(stack, s.means, s.stds, standardized):
+                alone = fit_standardizer(rows)
+                assert means.tobytes() == alone.means.tobytes() and stds.tobytes() == alone.stds.tobytes()
+                assert out.tobytes() == alone.transform(rows).tobytes()
+
     def test_needs_two_rows(self):
         with pytest.raises(ValueError):
             fit_standardizer(np.ones((1, 4)))
@@ -191,6 +204,10 @@ def test_fold_is_float64_reference_bit_for_bit(case, rows):
     part = fuse_genotype(g, pool, rows)
     assert part.dtype == np.float64 and part.shape == out[rows].shape
     assert part.tobytes() == out[rows].tobytes()
+    # a caller's buffer takes the same bits, whatever it held before
+    buffer = np.full(part.shape, np.nan)
+    assert fuse_genotype(g, pool, rows, out=buffer) is buffer
+    assert buffer.tobytes() == part.tobytes()
 
 
 class TestNoMutation:

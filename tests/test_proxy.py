@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evofusion import proxy
 from evofusion.data import TaskData
@@ -10,7 +12,7 @@ from evofusion.metrics import auprc
 from evofusion.model import Individual, ObjectiveVector
 from evofusion.proxy import (
     ProxyConfig,
-    evaluate_individual,
+    evaluate_batch,
     fit_focal_logistic,
     focal_logistic_loss_and_grad,
     focal_terms,
@@ -145,7 +147,7 @@ class TestTrainer:
             d = int(rng.integers(1, 16))
             X = rng.normal(size=(n, d))
             y = two_class_labels(rng, n)
-            w, b, losses = fit_focal_logistic(X, y, cfg)
+            (w,), (b,), losses = fit_focal_logistic(X[None], y, cfg)
             _, gw, gb = focal_logistic_loss_and_grad(w, b, X, y, cfg)
             assert max(np.abs(gw).max(), abs(gb)) < cfg.grad_tol
             assert len(losses) - 1 < cfg.max_iter
@@ -155,50 +157,134 @@ class TestTrainer:
         n = 80
         y = np.array([0, 1] * (n // 2))
         X = np.column_stack([y * 4.0 + rng.normal(scale=0.2, size=n), rng.normal(size=n)])
-        w, b, losses = fit_focal_logistic(X, y, cfg)
+        (w,), (b,), losses = fit_focal_logistic(X[None], y, cfg)
         assert np.isfinite(w).all() and np.isfinite(b)
-        assert (np.diff(losses) <= 1e-12).all()
+        assert (np.diff(losses[:, 0]) <= 1e-12).all()
         assert auprc(X @ w + b, y) == 1.0
 
     def test_max_iter_one_takes_at_most_one_step(self, rng):
         X = rng.normal(size=(60, 5))
         y = two_class_labels(rng, 60)
-        _, _, losses = fit_focal_logistic(X, y, ProxyConfig(max_iter=1))
+        _, _, losses = fit_focal_logistic(X[None], y, ProxyConfig(max_iter=1))
         assert len(losses) <= 2
 
     def test_loss_trace_non_increasing(self, rng):
         for _ in range(10):
             X = rng.normal(size=(60, 5))
             y = two_class_labels(rng, 60)
-            _, _, losses = fit_focal_logistic(X, y, ProxyConfig())
-            diffs = np.diff(losses)
+            _, _, losses = fit_focal_logistic(X[None], y, ProxyConfig())
+            diffs = np.diff(losses[:, 0])
             assert (diffs <= 1e-12).all()
 
     def test_separable_toy_reaches_perfect_ranking(self, rng):
         n = 80
         y = np.array([0, 1] * (n // 2))
         X = np.column_stack([y * 4.0 + rng.normal(scale=0.2, size=n), rng.normal(size=n)])
-        model = train_head(X, y, ProxyConfig())
+        (model,) = train_head(X[None], y, ProxyConfig())
         assert auprc(model.scores(X), y) == 1.0
 
     def test_single_class_labels_raise(self, rng):
         X = rng.normal(size=(20, 3))
         with pytest.raises(ValueError, match="single class"):
-            train_head(X, np.zeros(20, dtype=int), ProxyConfig())
+            train_head(X[None], np.zeros(20, dtype=int), ProxyConfig())
 
     @pytest.mark.parametrize("labels", [[1] * 20, []], ids=["all-1", "empty"])
     def test_degenerate_labels_raise(self, rng, labels):
         X = rng.normal(size=(len(labels), 3))
         with pytest.raises(ValueError, match="single class"):
-            train_head(X, np.array(labels, dtype=np.int8), ProxyConfig())
+            train_head(X[None], np.array(labels, dtype=np.int8), ProxyConfig())
 
     def test_deterministic(self, rng):
         X = rng.normal(size=(40, 4))
         y = two_class_labels(rng, 40)
-        m1 = train_head(X, y, ProxyConfig())
-        m2 = train_head(X, y, ProxyConfig())
+        (m1,) = train_head(X[None], y, ProxyConfig())
+        (m2,) = train_head(X[None], y, ProxyConfig())
         assert np.array_equal(m1.coefficients, m2.coefficients)
         assert m1.intercept == m2.intercept
+
+
+# Focal loss without its focus term and with almost no ridge: on rows
+# that a large shift makes separable, the fit runs out of halvings.
+HALVING_CFG = ProxyConfig(gamma=0.0, ridge_lambda=1e-6)
+
+
+def stack_member(seed: int, shift: float, n: int, d: int) -> np.ndarray:
+    """Rows whose first column is shifted by ``shift`` on the positives of
+    ``alternating_labels(n)``: larger shifts take more steps to fit."""
+    X = np.random.default_rng(seed).normal(size=(n, d))
+    X[:, 0] += shift * alternating_labels(n)
+    return X
+
+
+def alternating_labels(n: int) -> np.ndarray:
+    return np.arange(n) % 2
+
+
+def stop_reason(X, y, cfg) -> str:
+    (w,), (b,), losses = fit_focal_logistic(X[None], y, cfg)
+    _, gw, gb = focal_logistic_loss_and_grad(w, b, X, y, cfg)
+    if max(np.abs(gw).max(), abs(gb)) < cfg.grad_tol:
+        return "grad_tol"
+    return "max_iter" if len(losses) - 1 == cfg.max_iter else "halvings"
+
+
+def member_trace(losses: np.ndarray, m: int) -> np.ndarray:
+    """Member m's losses: its column up to the first NaN."""
+    column = losses[:, m]
+    stopped = np.isnan(column)
+    assert not stopped[0] and (stopped[:-1] <= stopped[1:]).all()  # NaN only after the stop
+    return column[~stopped]
+
+
+class TestStackFit:
+    """A stack fit gives every member the bits it gets when fitted alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
+        shifts=st.lists(st.sampled_from([0.0, 1.0, 3.0, 300.0]), min_size=6, max_size=6),
+        n=st.integers(6, 40),
+        d=st.integers(1, 4),
+        cfg=st.sampled_from([HALVING_CFG, ProxyConfig(max_iter=1), ProxyConfig(max_iter=4)]),
+        cuts=st.lists(st.integers(1, 5), max_size=3),
+    )
+    def test_member_bits_do_not_depend_on_stack_or_chunks(self, seeds, shifts, n, d, cfg, cuts):
+        y = alternating_labels(n)
+        stack = np.stack([stack_member(seed, shift, n, d) for seed, shift in zip(seeds, shifts)])
+        alone = [fit_focal_logistic(X[None], y, cfg) for X in stack]
+        bounds = [0, *sorted({c for c in cuts if c < len(seeds)}), len(seeds)]
+        chunks = [fit_focal_logistic(stack[lo:hi], y, cfg) for lo, hi in zip(bounds, bounds[1:])]
+        chunked = [(w[i], b[i], losses, i) for w, b, losses in chunks for i in range(len(w))]
+        whole = fit_focal_logistic(stack, y, cfg)
+        assert len(whole[2]) == max(len(losses) for _, _, losses in alone)
+        for m, ((w1,), (b1,), losses1) in enumerate(alone):
+            trace = member_trace(losses1, 0)
+            assert (np.diff(trace) <= 0).all()
+            assert len(trace) - 1 <= cfg.max_iter
+            w2, b2, losses2, i = chunked[m]
+            for w, b, losses, k in ((w2, b2, losses2, i), (whole[0][m], whole[1][m], whole[2], m)):
+                assert w.tobytes() == w1.tobytes() and b == b1
+                assert member_trace(losses, k).tobytes() == trace.tobytes()
+
+    def test_members_stop_for_each_reason(self):
+        """The stacks above hold members that stop below grad_tol, at
+        max_iter and after running out of halvings, at different steps."""
+        n, d = 24, 2
+        y = alternating_labels(n)
+        assert [stop_reason(stack_member(s, shift, n, d), y, HALVING_CFG) for s, shift in
+                [(0, 0.0), (1, 1.0), (0, 300.0), (1, 300.0)]] == ["grad_tol", "grad_tol", "halvings", "halvings"]
+        stack = np.stack([stack_member(s, shift, n, d) for s, shift in [(0, 0.0), (1, 1.0), (0, 300.0)]])
+        steps = [len(member_trace(fit_focal_logistic(stack, y, HALVING_CFG)[2], m)) - 1 for m in range(3)]
+        assert len(set(steps)) == 3
+        assert stop_reason(stack[0], y, ProxyConfig(max_iter=1)) == "max_iter"
+
+    def test_loss_trace_has_one_row_per_step_of_the_longest_member(self):
+        n = 30
+        y = alternating_labels(n)
+        stack = np.stack([stack_member(0, 0.0, n, 3), stack_member(0, 300.0, n, 3)])
+        _, _, losses = fit_focal_logistic(stack, y, HALVING_CFG)
+        lengths = [len(member_trace(losses, m)) for m in range(2)]
+        assert losses.shape == (max(lengths), 2) and lengths[0] < lengths[1]
 
 
 def _toy_task(rng, signal: bool, L=160, d=6, pool_size=3, positive_rate=0.15):
@@ -219,7 +305,7 @@ class TestEvaluateIndividual:
     def test_label_signal_scores_high(self, rng):
         task = _toy_task(rng, signal=True)
         ind = Individual(1, 0, make_genotype(0))
-        obj = evaluate_individual(ind, task, ProxyConfig())
+        (obj,) = evaluate_batch([ind], task, ProxyConfig())
         assert obj.g1 < 0.05
         assert ind.proxy is not None
 
@@ -228,7 +314,7 @@ class TestEvaluateIndividual:
         inside the null distribution of label-permuted AUPRCs."""
         task = _toy_task(rng, signal=False)
         ind = Individual(1, 0, make_genotype(0, (1, "add", 1.0, 1.0)))
-        obj = evaluate_individual(ind, task, ProxyConfig())
+        (obj,) = evaluate_batch([ind], task, ProxyConfig())
         achieved = 1.0 - obj.g1
         y_val = task.labels[task.n_train :]
         probs = ind.proxy.scores(
@@ -246,8 +332,8 @@ class TestEvaluateIndividual:
         task = _toy_task(rng, signal=True)
         a = Individual(1, 0, make_genotype(0, (2, "mul", 0.8, 1.1)))
         b = Individual(2, 0, a.genotype)
-        oa = evaluate_individual(a, task, ProxyConfig())
-        ob = evaluate_individual(b, task, ProxyConfig())
+        (oa,) = evaluate_batch([a], task, ProxyConfig())
+        (ob,) = evaluate_batch([b], task, ProxyConfig())
         assert oa == ob
         assert np.array_equal(a.proxy.coefficients, b.proxy.coefficients)
 
@@ -260,7 +346,7 @@ class TestEvaluateIndividual:
         task.labels[task.n_train] = 1
         ind = Individual(1, 0, make_genotype(0))
         with pytest.raises(ValueError, match="single class"):
-            evaluate_individual(ind, task, ProxyConfig())
+            evaluate_batch([ind], task, ProxyConfig())
 
     def test_objectives_in_unit_box(self, rng):
         task = _toy_task(rng, signal=True)
@@ -268,7 +354,7 @@ class TestEvaluateIndividual:
             from evofusion.model import random_genotype
 
             ind = Individual(i, 0, random_genotype(rng, 3, 3))
-            obj = evaluate_individual(ind, task, ProxyConfig())
+            (obj,) = evaluate_batch([ind], task, ProxyConfig())
             assert 0.0 <= obj.g1 <= 1.0 and 0.0 <= obj.g2 <= 1.0
 
 
@@ -285,7 +371,7 @@ class TestScoreRows:
         pool = [rng.normal(size=(self.L, self.D)).astype(np.float32) for _ in range(3)]
         g = make_genotype(2, (0, "mul", 1.3, 0.7), (1, "avg", 0.4, 1.9))
         fused = fuse_genotype(g, pool)
-        model = train_head(fused[:20], two_class_labels(rng, 20), ProxyConfig(max_iter=30))
+        (model,) = train_head(fused[None, :20], two_class_labels(rng, 20), ProxyConfig(max_iter=30))
         return g, model, pool, fused
 
     # 4 and 8 rows a block; 10 rows round down to 8
