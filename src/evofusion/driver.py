@@ -204,18 +204,15 @@ class _TaskState:
         """Evaluate the individuals a generation creates: each genotype
         not in the cache is evaluated once, all in one batch, and every
         individual takes its genotype's objectives and head."""
-        fresh: dict[Genotype, list[Individual]] = {}
+        fresh: dict[Genotype, Individual] = {}
         for ind in individuals:
-            hit = self.eval_cache.get(ind.genotype)
-            if hit is None:
-                fresh.setdefault(ind.genotype, []).append(ind)
-            else:
-                ind.objectives, ind.proxy = hit
-        evaluate_batch([same[0] for same in fresh.values()], self.task, proxy_cfg)
-        for genotype, (first, *repeats) in fresh.items():
+            if ind.genotype not in self.eval_cache:
+                fresh.setdefault(ind.genotype, ind)
+        evaluate_batch(list(fresh.values()), self.task, proxy_cfg)
+        for genotype, first in fresh.items():
             self.eval_cache[genotype] = (first.objectives, first.proxy)
-            for ind in repeats:
-                ind.objectives, ind.proxy = first.objectives, first.proxy
+        for ind in individuals:
+            ind.objectives, ind.proxy = self.eval_cache[ind.genotype]
 
 
 def _init_task(state: _TaskState, cfg: EvoConfig, proxy_cfg: ProxyConfig) -> None:

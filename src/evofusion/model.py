@@ -8,6 +8,7 @@ search space and can be compared or transferred directly.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -51,6 +52,18 @@ class Genotype:
     (op, w_c, w_f) triplet is carried but never applied."""
 
     genes: tuple[FusionGene, ...]
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash(self.genes)
+
+    def __hash__(self):
+        # every eval-cache lookup hashes the genotype, so it is hashed once
+        return self._hash
+
+    def __reduce__(self):
+        # a str's hash depends on PYTHONHASHSEED: a loaded genotype rehashes
+        return (Genotype, (self.genes,))
 
     def __len__(self):
         return len(self.genes)

@@ -51,14 +51,25 @@ class ProxyConfig:
 
 @dataclass(frozen=True, eq=False)
 class ProxyModel:
+    """A trained head: coefficients (d,), a float intercept and the
+    standardizer of its training rows; or a stack of B heads: (B, d), (B,)."""
+
     coefficients: np.ndarray
     intercept: float
     standardizer: Standardizer
 
     def scores(self, fused_rows: np.ndarray) -> np.ndarray:
-        """Sigmoid probabilities for raw (unstandardized) fused rows."""
-        z = self.standardizer.transform(fused_rows) @ self.coefficients + self.intercept
+        """Sigmoid probabilities for raw (unstandardized) fused rows, (m, d)
+        or, for a stack, (B, m, d); a head's bits do not depend on its stack."""
+        z = np.matmul(self.standardizer.transform(fused_rows), self.coefficients[..., None])[..., 0]
+        z += np.asarray(self.intercept)[..., None]
         return sigmoid(z)
+
+    def heads(self) -> list[ProxyModel]:
+        """The single heads of a stack, in stack order."""
+        s = self.standardizer
+        rows = zip(self.coefficients, self.intercept, s.means, s.stds)
+        return [ProxyModel(w, float(b), Standardizer(means, stds)) for w, b, means, stds in rows]
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -109,24 +120,26 @@ def focal_terms(p, y, cfg: ProxyConfig):
     return loss, dldz, d2ldz2
 
 
-def _objective(w, b, X, y, cfg: ProxyConfig):
+def _objective(theta, X, y, cfg: ProxyConfig):
     """Mean focal loss with ridge penalty on w, its gradient, and the
     per-sample second derivatives in z, for each member of a stack: X is
-    (B, n, d), w is (B, d) and b is (B,). Returns (loss, grad_w, grad_b,
-    d2ldz2) of shapes (B,), (B, d), (B,) and (B, n).
+    (B, n, d) and theta is (B, d + 1), each row a member's [w, b].
+    Returns (loss, grad, d2ldz2) of shapes (B,), (B, d + 1) and (B, n),
+    grad's rows being [grad_w, grad_b].
 
     Stacked np.matmul makes one BLAS call per member, and every sum runs
     along a member's own axis, so a member's bits do not depend on the
     other members of its stack."""
-    n = X.shape[1]
+    n, d = X.shape[1:]
+    w = theta[:, :d]
     z = np.matmul(X, w[:, :, None])[:, :, 0]
-    z += b[:, None]
+    z += theta[:, d, None]
     loss_vec, dldz, d2ldz2 = focal_terms(sigmoid(z), y, cfg)
     # sum / n is what ndarray.mean computes, without its Python wrapper
     ww = np.matmul(w[:, None, :], w[:, :, None])[:, 0, 0]
     loss = loss_vec.sum(axis=1) / n + 0.5 * cfg.ridge_lambda * ww
     grad_w = np.matmul(X.transpose(0, 2, 1), dldz[:, :, None])[:, :, 0] / n + cfg.ridge_lambda * w
-    return loss, grad_w, dldz.sum(axis=1) / n, d2ldz2
+    return loss, np.concatenate((grad_w, dldz.sum(axis=1)[:, None] / n), axis=1), d2ldz2
 
 
 def focal_logistic_loss_and_grad(w, b, X, y, cfg: ProxyConfig):
@@ -136,9 +149,9 @@ def focal_logistic_loss_and_grad(w, b, X, y, cfg: ProxyConfig):
     Returns (loss, grad_w, grad_b). The intercept is unregularized.
     """
     X = np.asarray(X, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    loss, grad_w, grad_b, _ = _objective(w[None], np.array([b], dtype=np.float64), X[None], y, cfg)
-    return float(loss[0]), grad_w[0], float(grad_b[0])
+    theta = np.append(np.asarray(w, dtype=np.float64), b)[None]
+    loss, grad, _ = _objective(theta, X[None], y, cfg)
+    return float(loss[0]), grad[0, :-1], float(grad[0, -1])
 
 
 def fit_focal_logistic(X, y, cfg: ProxyConfig):
@@ -170,19 +183,18 @@ def fit_focal_logistic(X, y, cfg: ProxyConfig):
     A[:, :, :d] = X
     A[:, :, d] = 1.0
     regularizer = np.diag(np.append(np.full(d, cfg.ridge_lambda), 0.0) + NEWTON_JITTER)
-    coef, intercept = np.zeros((size, d)), np.zeros(size)
+    fitted = np.zeros((size, d + 1))
     # the active members' numbers in the stack, then their rows and state
     live = np.arange(size)
-    w, b = coef.copy(), intercept.copy()
-    loss, grad_w, grad_b, d2ldz2 = _objective(w, b, X, y, cfg)
+    theta = fitted.copy()
+    loss, grad, d2ldz2 = _objective(theta, X, y, cfg)
     losses = [loss]
     for _ in range(cfg.max_iter):
-        grad = np.concatenate((grad_w, grad_b[:, None]), axis=1)
         # not "max >= grad_tol": a NaN gradient keeps its member going
         going = ~(np.abs(grad).max(axis=1) < cfg.grad_tol)
         if not going.all():
-            coef[live[~going]], intercept[live[~going]] = w[~going], b[~going]
-            live, X, A, w, b, loss, grad, d2ldz2 = (v[going] for v in (live, X, A, w, b, loss, grad, d2ldz2))
+            fitted[live[~going]] = theta[~going]
+            live, X, A, theta, loss, grad, d2ldz2 = (v[going] for v in (live, X, A, theta, loss, grad, d2ldz2))
             if not live.size:
                 break
         hessian = np.matmul((A * (np.maximum(d2ldz2, 0.0) / n)[:, :, None]).transpose(0, 2, 1), A) + regularizer
@@ -195,11 +207,10 @@ def fit_focal_logistic(X, y, cfg: ProxyConfig):
         # member keeps its accepted trial, or stops and is dropped below.
         state, pending, t = None, slice(None), 1.0
         for _ in range(MAX_HALVINGS):
-            trial_w = w[pending] - t * step[pending, :d]
-            trial_b = b[pending] - t * step[pending, d]
+            trial_theta = theta[pending] - t * step[pending]
             rows = X if state is None or pending.size == live.size else X[pending]
-            trial = (trial_w, trial_b, *_objective(trial_w, trial_b, rows, y, cfg))
-            ok = trial[2] <= loss[pending] - ARMIJO_C * t * slope[pending]
+            trial = (trial_theta, *_objective(trial_theta, rows, y, cfg))
+            ok = trial[1] <= loss[pending] - ARMIJO_C * t * slope[pending]
             if state is None:
                 state, pending = list(trial), np.flatnonzero(~ok)
             else:
@@ -211,32 +222,32 @@ def fit_focal_logistic(X, y, cfg: ProxyConfig):
             t /= 2.0
         if pending.size:
             # no step lowered these members' loss: they stop where they are
-            coef[live[pending]], intercept[live[pending]] = w[pending], b[pending]
+            fitted[live[pending]] = theta[pending]
             moved = np.ones(live.size, dtype=bool)
             moved[pending] = False
             if not moved.any():
                 break
             live, X, A, *state = (v[moved] for v in (live, X, A, *state))
-        w, b, loss, grad_w, grad_b, d2ldz2 = state
-        row = np.full(size, np.nan)
-        row[live] = loss
+        theta, loss, grad, d2ldz2 = state
+        row = loss
+        if live.size < size:
+            row = np.full(size, np.nan)
+            row[live] = loss
         losses.append(row)
-    coef[live], intercept[live] = w, b
-    return coef, intercept, np.array(losses)
+    fitted[live] = theta
+    return fitted[:, :d], fitted[:, d], np.array(losses)
 
 
-def train_head(fused_train: np.ndarray, labels_train, cfg: ProxyConfig) -> list[ProxyModel]:
+def train_head(fused_train: np.ndarray, labels_train, cfg: ProxyConfig) -> ProxyModel:
     """Standardize each member of a (B, n, d) stack of training rows and
-    fit their focal logistic heads in one call; returns the B heads.
-    Raises ValueError unless the 0/1 labels hold both classes."""
+    fit their focal logistic heads in one call; returns the stack of B
+    heads. Raises ValueError unless the 0/1 labels hold both classes."""
     labels_train = np.asarray(labels_train)
     if not labels_train.any() or labels_train.all():
         raise ValueError("training labels contain a single class")
     stacked = fit_standardizer(fused_train)
     w, b, _ = fit_focal_logistic(stacked.transform(fused_train), labels_train, cfg)
-    return [
-        ProxyModel(w[i], float(b[i]), Standardizer(stacked.means[i], stacked.stds[i])) for i in range(len(w))
-    ]
+    return ProxyModel(w, b, stacked)
 
 
 def block_rows(d: int) -> int:
@@ -269,26 +280,10 @@ def score_rows(genotype: Genotype, model: ProxyModel, pool: list, start: int, st
     return probs
 
 
-def evaluate_individual(ind: Individual, task, model: ProxyModel, fused: np.ndarray) -> ObjectiveVector:
-    """Score an individual's trained head on the task's validation rows,
-    and store the objectives and the head on the individual.
-
-    ``fused`` is the individual's fusion of the task's first rows: all of
-    them, whose validation rows are then scored as they are, or the
-    training rows alone, and the validation rows are fused and scored in
-    blocks (see evaluate_batch).
-    """
-    n, rows = task.n_train, task.labels.size
-    if fused.shape[0] == rows:
-        probs = model.scores(fused[n:])
-    else:
-        probs = score_rows(ind.genotype, model, task.pool, n, rows)
-    y_val = task.labels[n:]
-    g1 = min(max(1.0 - auprc(probs, y_val), 0.0), 1.0)
-    g2 = fpr(confusion(probs, y_val, DECISION_THRESHOLD))
-    ind.objectives = ObjectiveVector(g1, g2)
-    ind.proxy = model
-    return ind.objectives
+def evaluate_individual(ind: Individual, head: ProxyModel, g1: float, g2: float) -> None:
+    """Store an individual's objectives, 1 - AUPRC and FPR on the task's
+    validation rows, and its trained head on the individual."""
+    ind.objectives, ind.proxy = ObjectiveVector(g1, g2), head
 
 
 def evaluate_batch(individuals: list[Individual], task, cfg: ProxyConfig) -> list[ObjectiveVector]:
@@ -302,21 +297,30 @@ def evaluate_batch(individuals: list[Individual], task, cfg: ProxyConfig) -> lis
     checks them before a run, so no evaluation can fail. The heads are
     trained in stacks of as many individuals as BLOCK_BYTES holds of
     their (n, d + 1) design matrices, and at least one, with one
-    ``train_head`` call per stack; a head's bits do not depend on its
-    stack. A task of at most one block is fused in one call per
-    individual; a longer one fuses its training rows as one matrix and
-    scores its validation rows in blocks.
+    ``train_head`` call per stack. A task of at most one block is fused
+    in one call per individual and a stack's validation rows are scored
+    in one call; a longer one fuses its training rows as one matrix and
+    scores each head's validation rows in blocks (score_rows). The (B, m)
+    probabilities take one AUPRC and one FPR call. No bit depends on B.
     """
     n, rows = task.n_train, task.labels.size
     d = task.pool[0].shape[1]
     fused_rows = rows if rows <= block_rows(d) else n
     size = max(1, BLOCK_BYTES // (8 * n * (d + 1)))
+    y_val = task.labels[n:]
     for lo in range(0, len(individuals), size):
         chunk = individuals[lo : lo + size]
         fused = np.empty((len(chunk), fused_rows, d))
         for ind, out in zip(chunk, fused):
             fuse_genotype(ind.genotype, task.pool, slice(0, fused_rows), out=out)
-        models = train_head(fused[:, :n], task.labels[:n], cfg)
-        for ind, model, rows_fused in zip(chunk, models, fused):
-            evaluate_individual(ind, task, model, rows_fused)
+        stack = train_head(fused[:, :n], task.labels[:n], cfg)
+        heads = stack.heads()
+        if fused_rows == rows:
+            probs = stack.scores(fused[:, n:])
+        else:
+            probs = np.stack([score_rows(ind.genotype, head, task.pool, n, rows) for ind, head in zip(chunk, heads)])
+        g1 = 1.0 - auprc(probs, y_val)  # AUPRC lies in (0, 1], so no clamp
+        g2 = fpr(confusion(probs, y_val, DECISION_THRESHOLD))
+        for ind, head, g1_i, g2_i in zip(chunk, heads, g1.tolist(), g2.tolist()):
+            evaluate_individual(ind, head, g1_i, g2_i)
     return [ind.objectives for ind in individuals]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evofusion.metrics import ConfusionCounts, auprc, confusion, fpr, mcc, supplementary_metrics
 
@@ -171,6 +173,70 @@ class TestAuprc:
             labels[int(rng.integers(n))] = 1
             v = auprc(rng.random(n), labels)
             assert 0.0 < v <= 1.0
+
+
+@st.composite
+def score_stacks(draw):
+    """A (B, m) stack of scores and m shared 0/1 labels with at least one
+    positive. Scores come from a few values, so rows hold ties; some rows
+    are tied throughout."""
+    size = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 30))
+    positives = draw(st.integers(1, m))
+    order = draw(st.permutations(range(m)))
+    labels = np.zeros(m, dtype=np.int64)
+    labels[list(order[:positives])] = 1
+    levels = st.sampled_from([0.0, 0.25, 0.5, 0.5, 0.75, 1.0, 0.3333333333333333])
+    rows = []
+    for _ in range(size):
+        if draw(st.booleans()):
+            rows.append([draw(levels)] * m)
+        else:
+            rows.append(draw(st.lists(levels, min_size=m, max_size=m)))
+    return np.array(rows), labels
+
+
+class TestStackedMetrics:
+    """AUPRC and FPR of a (B, m) stack are those of each row alone, bit for
+    bit, and a 1-D call is the one-row stack."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=score_stacks(), threshold=st.sampled_from([0.0, 0.5, 0.75, 1.5]))
+    def test_rows_match_single_calls(self, case, threshold):
+        scores, labels = case
+        rows_auprc = [auprc(row, labels) for row in scores]
+        rows_fpr = [fpr(confusion(row, labels, threshold)) for row in scores]
+        assert all(type(v) is float for v in rows_auprc + rows_fpr)
+        assert auprc(scores, labels).tobytes() == np.array(rows_auprc).tobytes()
+        stacked = confusion(scores, labels, threshold)
+        assert fpr(stacked).tobytes() == np.array(rows_fpr).tobytes()
+        for i, row in enumerate(scores):
+            single = confusion(row, labels, threshold)
+            assert (stacked.tp[i], stacked.tn[i], stacked.fp[i], stacked.fn[i]) == (
+                single.tp, single.tn, single.fp, single.fn)
+
+    @settings(max_examples=50, deadline=None)
+    @given(case=score_stacks())
+    def test_one_dimensional_call_is_the_one_row_stack(self, case):
+        scores, labels = case
+        row = scores[0]
+        assert np.float64(auprc(row, labels)).tobytes() == auprc(row[None], labels).tobytes()
+        counts = confusion(row, labels, 0.5)
+        assert all(type(v) is int for v in (counts.tp, counts.tn, counts.fp, counts.fn))
+        assert np.float64(fpr(counts)).tobytes() == fpr(confusion(row[None], labels, 0.5)).tobytes()
+
+    def test_stack_keeps_its_leading_shape(self):
+        scores = np.linspace(0.0, 1.0, 24).reshape(2, 3, 4)
+        labels = np.array([0, 1, 0, 1])
+        assert auprc(scores, labels).shape == (2, 3)
+        assert fpr(confusion(scores, labels, 0.5)).shape == (2, 3)
+
+    @pytest.mark.parametrize("labels", [[1, 0, 1], [[1, 0], [0, 1]], []])
+    def test_labels_must_be_one_row_as_long_as_the_scores(self, labels):
+        with pytest.raises(ValueError, match="equal-length"):
+            auprc(np.full((2, 2), 0.5), labels)
+        with pytest.raises(ValueError, match="equal-length"):
+            confusion(np.full((2, 2), 0.5), labels, 0.5)
 
 
 class TestSupplementary:

@@ -1,3 +1,9 @@
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -122,3 +128,33 @@ class TestRandomGenotype:
     def test_length_capped_by_pool(self, rng):
         for _ in range(200):
             assert len(random_genotype(rng, 3, 25)) <= 3
+
+
+class TestGenotypeHash:
+    # builds a genotype, hashes it (so a cached hash exists) and writes
+    # the pickled pair (genotype, its hash in this process) to stdout
+    CHILD = (
+        "import pickle, sys; from evofusion.model import FusionGene, Genotype; "
+        "g = Genotype((FusionGene(3, 'mul', 0.5, 1.5), FusionGene(0, 'avg', 1.0, 0.25))); "
+        "sys.stdout.buffer.write(pickle.dumps((g, hash(g))))"
+    )
+
+    def test_pickled_genotype_hits_a_dict_under_another_hash_seed(self):
+        """A genotype pickled by a process with another PYTHONHASHSEED, as a
+        worker's is, finds the equal genotype built here."""
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", self.CHILD], env=env, capture_output=True, check=True).stdout
+        loaded, child_hash = pickle.loads(out)
+        local = make_genotype((3, "mul", 0.5, 1.5), (0, "avg", 1.0, 0.25))
+        # the operator strings hash differently there, so the child's hash does too
+        assert child_hash != hash(local)
+        assert loaded == local and hash(loaded) == hash(local)
+        assert {local: "hit"}.get(loaded) == "hit"
+        assert {loaded: "hit"}.get(local) == "hit"
+
+    def test_equal_genotypes_hash_equal(self):
+        a = make_genotype((1, "add", 0.5, 1.0), 2)
+        b = make_genotype((1, "add", 0.5, 1.0), 2)
+        assert a is not b and hash(a) == hash(a) == hash(b) == hash(a.genes)

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from evofusion import proxy
 from evofusion.data import TaskData
 from evofusion.fusion import fuse_genotype
-from evofusion.metrics import auprc
-from evofusion.model import Individual, ObjectiveVector
+from evofusion.metrics import auprc, confusion, fpr
+from evofusion.model import Individual, ObjectiveVector, random_genotype
 from evofusion.proxy import (
+    DECISION_THRESHOLD,
     ProxyConfig,
     evaluate_batch,
     fit_focal_logistic,
@@ -180,7 +181,7 @@ class TestTrainer:
         n = 80
         y = np.array([0, 1] * (n // 2))
         X = np.column_stack([y * 4.0 + rng.normal(scale=0.2, size=n), rng.normal(size=n)])
-        (model,) = train_head(X[None], y, ProxyConfig())
+        (model,) = train_head(X[None], y, ProxyConfig()).heads()
         assert auprc(model.scores(X), y) == 1.0
 
     def test_single_class_labels_raise(self, rng):
@@ -197,8 +198,8 @@ class TestTrainer:
     def test_deterministic(self, rng):
         X = rng.normal(size=(40, 4))
         y = two_class_labels(rng, 40)
-        (m1,) = train_head(X[None], y, ProxyConfig())
-        (m2,) = train_head(X[None], y, ProxyConfig())
+        (m1,) = train_head(X[None], y, ProxyConfig()).heads()
+        (m2,) = train_head(X[None], y, ProxyConfig()).heads()
         assert np.array_equal(m1.coefficients, m2.coefficients)
         assert m1.intercept == m2.intercept
 
@@ -358,6 +359,65 @@ class TestEvaluateIndividual:
             assert 0.0 <= obj.g1 <= 1.0 and 0.0 <= obj.g2 <= 1.0
 
 
+class TestEvaluateBatchStacks:
+    """A chunk's heads are scored as one stack: every member's objectives
+    and head have the bits of training it alone and scoring it with
+    score_rows, auprc and fpr(confusion(...)). Validation rows 1-9 include
+    the one-row case, whose product is a dot product."""
+
+    N_TRAIN, D, MEMBERS = 24, 12, 7
+
+    def task(self, rng, m):
+        labels = np.zeros(self.N_TRAIN + m, dtype=np.int8)
+        labels[1 : self.N_TRAIN : 3] = 1
+        labels[self.N_TRAIN :] = rng.integers(0, 2, m)
+        labels[self.N_TRAIN] = 1
+        pool = [rng.normal(size=labels.shape + (self.D,)).astype(np.float32) for _ in range(4)]
+        pool[0] += labels[:, None]
+        return TaskData("toy", pool, labels, self.N_TRAIN)
+
+    @staticmethod
+    def alone(genotype, task, cfg):
+        n, rows = task.n_train, task.labels.size
+        fused = fuse_genotype(genotype, task.pool, slice(0, n))
+        (head,) = train_head(fused[None], task.labels[:n], cfg).heads()
+        probs = score_rows(genotype, head, task.pool, n, rows)
+        y_val = task.labels[n:]
+        return probs, (1.0 - auprc(probs, y_val), fpr(confusion(probs, y_val, DECISION_THRESHOLD))), head
+
+    # one block: fused once and scored as a stack; many blocks: 4-row
+    # blocks through score_rows, in stacks of all members or of one
+    @pytest.mark.parametrize("blocks", ["one", "many", "many-one-head-stacks"])
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_members_match_scoring_alone(self, rng, monkeypatch, blocks, m):
+        task = self.task(rng, m)
+        cfg = ProxyConfig(max_iter=8)
+        scored, stacks = [], []
+        monkeypatch.setattr(proxy, "score_rows", lambda *args: scored.append(1) or score_rows(*args))
+        # objectives depend on the ranking and the threshold alone, so the
+        # probabilities that reach the metric are compared too
+        monkeypatch.setattr(proxy, "auprc", lambda probs, y: stacks.append(probs) or auprc(probs, y))
+        if blocks == "many":
+            monkeypatch.setattr(proxy, "block_rows", lambda d: 4)
+        elif blocks == "many-one-head-stacks":
+            monkeypatch.setattr(proxy, "BLOCK_BYTES", 8 * 4 * self.D)
+        members = [Individual(i, 0, random_genotype(rng, len(task.pool), 3)) for i in range(self.MEMBERS)]
+        expected = [self.alone(ind.genotype, task, cfg) for ind in members]
+        objectives = evaluate_batch(members, task, cfg)
+        assert len(scored) == (0 if blocks == "one" else self.MEMBERS)
+        assert len(stacks) == (self.MEMBERS if blocks == "many-one-head-stacks" else 1)
+        assert np.concatenate(stacks).tobytes() == np.stack([probs for probs, _, _ in expected]).tobytes()
+        for ind, obj, (_, (g1, g2), head) in zip(members, objectives, expected):
+            assert obj is ind.objectives
+            assert np.array([obj.g1, obj.g2]).tobytes() == np.array([g1, g2]).tobytes()
+            assert type(obj.g1) is float and type(obj.g2) is float
+            got = ind.proxy
+            assert got.coefficients.tobytes() == head.coefficients.tobytes()
+            assert np.float64(got.intercept).tobytes() == np.float64(head.intercept).tobytes()
+            assert got.standardizer.means.tobytes() == head.standardizer.means.tobytes()
+            assert got.standardizer.stds.tobytes() == head.standardizer.stds.tobytes()
+
+
 class TestScoreRows:
     """The block scorer against one product over the same rows. A product
     takes its rows in fours from its first row, and a one-row product is
@@ -371,7 +431,7 @@ class TestScoreRows:
         pool = [rng.normal(size=(self.L, self.D)).astype(np.float32) for _ in range(3)]
         g = make_genotype(2, (0, "mul", 1.3, 0.7), (1, "avg", 0.4, 1.9))
         fused = fuse_genotype(g, pool)
-        (model,) = train_head(fused[None, :20], two_class_labels(rng, 20), ProxyConfig(max_iter=30))
+        (model,) = train_head(fused[None, :20], two_class_labels(rng, 20), ProxyConfig(max_iter=30)).heads()
         return g, model, pool, fused
 
     # 4 and 8 rows a block; 10 rows round down to 8
