@@ -47,6 +47,8 @@ class ProxyConfig:
             raise ValueError("gamma and ridge_lambda must be >= 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
+        if self.grad_tol < 0:
+            raise ValueError("grad_tol must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,17 +166,19 @@ def fit_focal_logistic(X, y, cfg: ProxyConfig):
     (focal loss is not convex in z). NEWTON_JITTER on the diagonal keeps
     the system solvable when ridge_lambda is 0 and every curvature is
     clipped. A backtracking line search (Armijo condition) keeps each
-    loss trace non-increasing; a member stops where no step along its
-    direction lowers its loss.
+    loss trace non-increasing: each member halves its own step length
+    until its trial passes, and stops where no step along its direction
+    lowers its loss.
 
     A member stops after cfg.max_iter Newton steps or when its gradient
-    infinity-norm drops below cfg.grad_tol. Members that stop leave the
-    stack; while every member is active no rows are copied. Every product,
-    solve and sum is per member, so a member's bits are those of fitting
-    it alone (B = 1). Returns (w, b, losses) of shapes (B, d), (B,) and
-    (steps + 1, B): losses[k, m] is member m's loss after k accepted
-    steps, NaN once it has stopped, and steps is the most any member
-    took.
+    infinity-norm drops below cfg.grad_tol. Every member stays in the
+    stack for the whole fit and no rows are copied: a stopped member's
+    step is zero, so its trial is its own point, which always passes.
+    Every product, solve and sum is per member, so a member's bits are
+    those of fitting it alone (B = 1). Returns (w, b, losses) of shapes
+    (B, d), (B,) and (steps + 1, B): losses[k, m] is member m's loss
+    after k accepted steps, NaN once it has stopped, and steps is the
+    most any member took.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -183,59 +187,38 @@ def fit_focal_logistic(X, y, cfg: ProxyConfig):
     A[:, :, :d] = X
     A[:, :, d] = 1.0
     regularizer = np.diag(np.append(np.full(d, cfg.ridge_lambda), 0.0) + NEWTON_JITTER)
-    fitted = np.zeros((size, d + 1))
-    # the active members' numbers in the stack, then their rows and state
-    live = np.arange(size)
-    theta = fitted.copy()
+    theta = np.zeros((size, d + 1))
     loss, grad, d2ldz2 = _objective(theta, X, y, cfg)
     losses = [loss]
+    live = np.ones(size, dtype=bool)
     for _ in range(cfg.max_iter):
         # not "max >= grad_tol": a NaN gradient keeps its member going
-        going = ~(np.abs(grad).max(axis=1) < cfg.grad_tol)
-        if not going.all():
-            fitted[live[~going]] = theta[~going]
-            live, X, A, theta, loss, grad, d2ldz2 = (v[going] for v in (live, X, A, theta, loss, grad, d2ldz2))
-            if not live.size:
-                break
+        live &= ~(np.abs(grad).max(axis=1) < cfg.grad_tol)
+        if not live.any():
+            break
         hessian = np.matmul((A * (np.maximum(d2ldz2, 0.0) / n)[:, :, None]).transpose(0, 2, 1), A) + regularizer
         step = np.linalg.solve(hessian, grad[:, :, None])[:, :, 0]
+        # a stopped member steps by zero: its trial is its own point, which passes
+        step[~live] = 0.0
         slope = np.matmul(grad[:, None, :], step[:, :, None])[:, 0, 0]
-        # Every member still searching tries the same step length t. The
-        # first trial takes all members, through views; later ones take
-        # the members whose trials failed, copying their rows unless that
-        # is every member. Each trial overwrites its members' state, so a
-        # member keeps its accepted trial, or stops and is dropped below.
-        state, pending, t = None, slice(None), 1.0
+        t = np.ones(size)
         for _ in range(MAX_HALVINGS):
-            trial_theta = theta[pending] - t * step[pending]
-            rows = X if state is None or pending.size == live.size else X[pending]
-            trial = (trial_theta, *_objective(trial_theta, rows, y, cfg))
-            ok = trial[1] <= loss[pending] - ARMIJO_C * t * slope[pending]
-            if state is None:
-                state, pending = list(trial), np.flatnonzero(~ok)
-            else:
-                for out, v in zip(state, trial):
-                    out[pending] = v
-                pending = pending[~ok]
-            if not pending.size:
+            trial = theta - t[:, None] * step
+            state = (trial, *_objective(trial, X, y, cfg))
+            ok = state[1] <= loss - ARMIJO_C * t * slope
+            if ok.all():
                 break
-            t /= 2.0
-        if pending.size:
+            t[~ok] /= 2.0
+        else:
             # no step lowered these members' loss: they stop where they are
-            fitted[live[pending]] = theta[pending]
-            moved = np.ones(live.size, dtype=bool)
-            moved[pending] = False
-            if not moved.any():
+            live &= ok
+            if not live.any():
                 break
-            live, X, A, *state = (v[moved] for v in (live, X, A, *state))
+            keep = (ok[:, None], ok, ok[:, None], ok[:, None])
+            state = [np.where(k, new, old) for k, new, old in zip(keep, state, (theta, loss, grad, d2ldz2))]
         theta, loss, grad, d2ldz2 = state
-        row = loss
-        if live.size < size:
-            row = np.full(size, np.nan)
-            row[live] = loss
-        losses.append(row)
-    fitted[live] = theta
-    return fitted[:, :d], fitted[:, d], np.array(losses)
+        losses.append(loss if live.all() else np.where(live, loss, np.nan))
+    return theta[:, :d], theta[:, d], np.array(losses)
 
 
 def train_head(fused_train: np.ndarray, labels_train, cfg: ProxyConfig) -> ProxyModel:

@@ -2,6 +2,7 @@
 plainest scalar form and independent of the code paths they check."""
 import numpy as np
 
+from evofusion import proxy
 from evofusion.model import WEIGHT_MAX, WEIGHT_MIN, FusionGene, Genotype
 
 
@@ -47,6 +48,39 @@ def masked_sigmoid(z):
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+def newton_fit(X, y, cfg):
+    """Damped Newton on one member's (n, d) rows, one step at a time: a
+    Python float step length, halved until the Armijo test passes, and
+    Python stop tests. Each step uses ``proxy._objective`` on a (1, n, d)
+    stack and the solver's Hessian and Armijo expressions. Returns
+    (w, b, losses), losses[k] being the loss after k accepted steps."""
+    n, d = X.shape
+    X = X[None]
+    A = np.concatenate((X, np.ones((1, n, 1))), axis=2)
+    regularizer = np.diag(np.append(np.full(d, cfg.ridge_lambda), 0.0) + proxy.NEWTON_JITTER)
+    theta = np.zeros((1, d + 1))
+    loss, grad, d2ldz2 = proxy._objective(theta, X, y, cfg)
+    losses = [loss[0]]
+    for _ in range(cfg.max_iter):
+        if np.abs(grad).max() < cfg.grad_tol:
+            break
+        hessian = np.matmul((A * (np.maximum(d2ldz2, 0.0) / n)[:, :, None]).transpose(0, 2, 1), A) + regularizer
+        step = np.linalg.solve(hessian, grad[:, :, None])[:, :, 0]
+        slope = np.matmul(grad[:, None, :], step[:, :, None])[0, 0, 0]
+        t = 1.0
+        for _ in range(proxy.MAX_HALVINGS):
+            trial = theta - t * step
+            trial_loss, trial_grad, trial_d2ldz2 = proxy._objective(trial, X, y, cfg)
+            if trial_loss[0] <= loss[0] - proxy.ARMIJO_C * t * slope:
+                break
+            t /= 2.0
+        else:
+            break
+        theta, loss, grad, d2ldz2 = trial, trial_loss, trial_grad, trial_d2ldz2
+        losses.append(loss[0])
+    return theta[0, :d], theta[0, d], np.array(losses)
 
 
 def aligned_weight(g, pool_index: int, slot: int) -> float:

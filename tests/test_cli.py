@@ -139,8 +139,8 @@ class TestGen:
         "section, overrides",
         [("evolution", {"generations": -3}), ("evolution", {"seed": -1}), ("synthetic", {"seed": -2}),
          ("proxy", {"alpha_pos": 2.0, "alpha_neg": -1.0}), ("synthetic", {"feature_dim": 0}),
-         ("synthetic", {"noise_scale": -1})],
-        ids=["generations", "evolution-seed", "synthetic-seed", "alpha", "feature-dim", "noise-scale"],
+         ("synthetic", {"noise_scale": -1}), ("proxy", {"grad_tol": -1.0})],
+        ids=["generations", "evolution-seed", "synthetic-seed", "alpha", "feature-dim", "noise-scale", "grad-tol"],
     )
     def test_out_of_range_config_value_is_data_error(self, tmp_path, section, overrides):
         cfg = write_config(tmp_path / "range.json", **{section: overrides})

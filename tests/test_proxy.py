@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from evofusion.proxy import (
 )
 
 from conftest import make_genotype
-from oracles import masked_sigmoid
+from oracles import masked_sigmoid, newton_fit
 
 
 def fd_gradient(w, b, X, y, cfg, h=1e-6):
@@ -195,6 +196,11 @@ class TestTrainer:
         with pytest.raises(ValueError, match="single class"):
             train_head(X[None], np.array(labels, dtype=np.int8), ProxyConfig())
 
+    def test_negative_grad_tol_is_rejected(self):
+        with pytest.raises(ValueError, match="grad_tol must be >= 0"):
+            ProxyConfig(grad_tol=-1.0)
+        assert ProxyConfig(grad_tol=0.0).grad_tol == 0.0
+
     def test_deterministic(self, rng):
         X = rng.normal(size=(40, 4))
         y = two_class_labels(rng, 40)
@@ -266,6 +272,26 @@ class TestStackFit:
             for w, b, losses, k in ((w2, b2, losses2, i), (whole[0][m], whole[1][m], whole[2], m)):
                 assert w.tobytes() == w1.tobytes() and b == b1
                 assert member_trace(losses, k).tobytes() == trace.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
+        shifts=st.lists(st.sampled_from([0.0, 1.0, 3.0, 300.0]), min_size=6, max_size=6),
+        n=st.integers(6, 40),
+        d=st.integers(1, 4),
+        max_iter=st.sampled_from([6, HALVING_CFG.max_iter]),
+    )
+    def test_members_get_the_bits_of_a_one_member_newton_loop(self, seeds, shifts, n, d, max_iter):
+        """At max_iter 6 the larger shifts stop at max_iter; at 300 they
+        stop below grad_tol (shifts 0 to 3) or out of halvings (300)."""
+        cfg = dataclasses.replace(HALVING_CFG, max_iter=max_iter)
+        y = alternating_labels(n)
+        stack = np.stack([stack_member(seed, shift, n, d) for seed, shift in zip(seeds, shifts)])
+        w, b, losses = fit_focal_logistic(stack, y, cfg)
+        for m, X in enumerate(stack):
+            w1, b1, trace = newton_fit(X, y, cfg)
+            assert np.append(w[m], b[m]).tobytes() == np.append(w1, b1).tobytes()
+            assert member_trace(losses, m).tobytes() == trace.tobytes()
 
     def test_members_stop_for_each_reason(self):
         """The stacks above hold members that stop below grad_tol, at
