@@ -76,12 +76,19 @@ class FormatError(ValueError):
         self.offset = offset
 
 
+def check_f32_values(values: np.ndarray, where: str) -> None:
+    """Reject NaN, +-inf and any |v| beyond float32's maximum. min and max
+    propagate NaN and, unlike np.abs, allocate nothing."""
+    top = float(np.finfo(np.float32).max)
+    if not (values.min(initial=0.0) >= -top and values.max(initial=0.0) <= top):
+        raise ValueError(f"{where} holds NaN, an infinity or a value beyond float32's range")
+
+
 def write_fmat(m: np.ndarray, path) -> None:
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"need a non-empty 2-D matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix values must be finite")
+    check_f32_values(m, "matrix")
     rows, cols = m.shape
     if rows >= 2 ** 32 or cols >= 2 ** 32:
         raise ValueError("matrix dimensions exceed the u32 header range")

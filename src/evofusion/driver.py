@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TaskData
+from .data import TaskData, check_f32_values
 from .model import (
     FusionGene,
     Genotype,
@@ -81,14 +81,6 @@ def _population_stats(pop: TaskPopulation, transfers) -> GenerationStats:
     )
 
 
-def _check_pool_values(entry: np.ndarray, where: str) -> None:
-    """Reject NaN, +-inf and any |v| beyond float32's maximum. min and max
-    propagate NaN and, unlike np.abs, allocate nothing."""
-    top = float(np.finfo(np.float32).max)
-    if not (entry.min(initial=0.0) >= -top and entry.max(initial=0.0) <= top):
-        raise ValueError(f"{where} holds NaN, an infinity or a value beyond float32's range")
-
-
 def _validate_tasks(tasks: list[TaskData]) -> list[TaskDescriptor]:
     """Check every task and describe each by its index in ``tasks``."""
     if not tasks:
@@ -105,7 +97,7 @@ def _validate_tasks(tasks: list[TaskData]) -> list[TaskDescriptor]:
         if len(shape) != 2:
             raise ValueError(f"task {name}: pool entries must be 2-D, got shape {shape}")
         for k, entry in enumerate(task.pool):
-            _check_pool_values(entry, f"task {name}: pool entry {k}")
+            check_f32_values(entry, f"task {name}: pool entry {k}")
         if task.labels.ndim != 1 or shape[0] != rows:
             raise ValueError(f"task {name}: {shape[0]} pool rows but labels of shape {task.labels.shape}")
         if not ((task.labels == 0) | (task.labels == 1)).all():
@@ -142,17 +134,21 @@ def predict(strategy: Individual, pool: list[np.ndarray]) -> np.ndarray:
     """Score a pool with a trained strategy: fuse, standardize, apply
     the stored head, sigmoid, one block of rows at a time (see
     proxy.score_rows). Returns one probability per row. Raises
-    ValueError before any scoring unless every entry has the shape of
-    entry 0, with the head's column count, and bounded values."""
+    ValueError before any scoring unless the pool holds every entry the
+    genotype selects (so it is not empty), and every entry has the shape
+    of entry 0, with the head's column count, and bounded values."""
     if strategy.proxy is None:
         raise ValueError("strategy has no trained head")
+    for gene in strategy.genotype.genes:
+        if not 0 <= gene.pool_index < len(pool):
+            raise ValueError(f"genotype selects pool entry {gene.pool_index}, pool holds {len(pool)} entries")
     d = strategy.proxy.coefficients.shape[0]
     for i, entry in enumerate(pool):
         if entry.ndim != 2 or entry.shape[1] != d:
             raise ValueError(f"pool entry {i} has shape {entry.shape}, head expects {d} columns")
         if entry.shape != pool[0].shape:
             raise ValueError(f"pool entry {i} has shape {entry.shape}, pool entry 0 has {pool[0].shape}")
-        _check_pool_values(entry, f"pool entry {i}")
+        check_f32_values(entry, f"pool entry {i}")
     return score_rows(strategy.genotype, strategy.proxy, pool, 0, pool[0].shape[0])
 
 

@@ -84,19 +84,18 @@ def _fuse_into(
     np.maximum(acc, -CLAMP_LIMIT, out=acc)
 
 
-def fuse_genotype(
-    g: Genotype, pool: list[np.ndarray], rows: slice = slice(None), out: np.ndarray | None = None
-) -> np.ndarray:
-    """Left-fold a genotype's genes over the given rows of the pool, one
-    ``_fuse_into`` step per gene.
+def fuse_genotype(g: Genotype, pool: list[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
+    """Left-fold a genotype's genes over the pool, one ``_fuse_into`` step
+    per gene.
 
     Supported operators: add, mul, max, min, diff (weighted difference),
     avg (weighted mean). The accumulator starts as a float64 copy of the
     first gene's pool entry, unweighted; every following gene combines
     its entry into the accumulator in gene order, in place. Result has
-    the selected rows of the common L x d pool shape, in float64. The
-    fold is elementwise, so it is bit for bit those rows of the fold of
-    the whole pool. Pool arrays are never modified.
+    the common L x d pool shape, in float64. The fold is elementwise, so
+    folding the rows ``[lo:hi]`` of every entry gives bit for bit those
+    rows of the fold of the whole pool (proxy.score_rows folds blocks
+    so). Pool arrays are never modified.
 
     Requires gene weights in [WEIGHT_MIN, WEIGHT_MAX] and pool values
     within float32's range (|v| <= 3.4e38): then no float64 intermediate
@@ -108,12 +107,11 @@ def fuse_genotype(
     first = g.genes[0].pool_index
     if not 0 <= first < len(pool):
         raise IndexError(f"pool index {first} outside pool of {len(pool)} entries")
-    first_rows = pool[first][rows]
-    acc = np.empty(np.shape(first_rows)) if out is None else out
-    acc[...] = first_rows
+    acc = np.empty(np.shape(pool[first])) if out is None else out
+    acc[...] = pool[first]
     scratch = np.empty_like(acc)
     for gene in g.genes[1:]:
         if not 0 <= gene.pool_index < len(pool):
             raise IndexError(f"pool index {gene.pool_index} outside pool of {len(pool)} entries")
-        _fuse_into(acc, pool[gene.pool_index][rows], scratch, gene.op, gene.w_c, gene.w_f)
+        _fuse_into(acc, pool[gene.pool_index], scratch, gene.op, gene.w_c, gene.w_f)
     return acc

@@ -20,12 +20,15 @@ NEWTON_JITTER = 1.0e-8
 ARMIJO_C = 1.0e-4
 MAX_HALVINGS = 50
 
-# Scoring fuses, standardizes and scores this many bytes of float64 rows at
-# a time: the fused block, the fusion scratch and the standardized copy then
-# stay in cache, and no scoring pass holds a whole L x d matrix. 128-512 KiB
-# timed about the same. A block's product is also far below the size at
-# which OpenBLAS 0.3.31 splits a product over threads (about 460,000
-# elements, measured), so its bits do not depend on the thread count.
+# score_rows fuses, standardizes and scores this many bytes of float64 rows
+# at a time: the fused block, the fusion scratch and the standardized copy
+# then stay in cache. 128-512 KiB timed about the same. A block's product is
+# also far below the size at which OpenBLAS 0.3.31 splits a product over
+# threads (about 460,000 elements, measured), so its bits do not depend on
+# the thread count. The search holds one (B, L, d) chunk of fused rows, B
+# heads whose (n, d + 1) design matrices fit this many bytes: 1.2 MB against
+# 17 MB of resident pools on search-d128's config, 0.3 MB against 2.8 MB on
+# search-15task's.
 BLOCK_BYTES = 256 * 1024
 
 
@@ -277,33 +280,26 @@ def evaluate_batch(individuals: list[Individual], task, cfg: ProxyConfig) -> lis
 
     ``task`` must provide pool, labels and n_train (see data.TaskData),
     with the pool values that ``fuse_genotype`` requires; the driver
-    checks them before a run, so no evaluation can fail. The heads are
-    trained in stacks of as many individuals as BLOCK_BYTES holds of
-    their (n, d + 1) design matrices, and at least one, with one
-    ``train_head`` call per stack. A task of at most one block is fused
-    in one call per individual and a stack's validation rows are scored
-    in one call; a longer one fuses its training rows as one matrix and
-    scores each head's validation rows in blocks (score_rows). The (B, m)
-    probabilities take one AUPRC and one FPR call. No bit depends on B.
+    checks them before a run, so no evaluation can fail. Each chunk of as
+    many individuals as BLOCK_BYTES holds of their (n, d + 1) design
+    matrices, and at least one, is fused once over all of the task's rows,
+    trained in one ``train_head`` call and scored in one stacked call,
+    whose (B, m) probabilities take one AUPRC and one FPR call. No bit
+    depends on B, and a head's scores are those of ``score_rows``.
     """
     n, rows = task.n_train, task.labels.size
     d = task.pool[0].shape[1]
-    fused_rows = rows if rows <= block_rows(d) else n
     size = max(1, BLOCK_BYTES // (8 * n * (d + 1)))
     y_val = task.labels[n:]
     for lo in range(0, len(individuals), size):
         chunk = individuals[lo : lo + size]
-        fused = np.empty((len(chunk), fused_rows, d))
+        fused = np.empty((len(chunk), rows, d))
         for ind, out in zip(chunk, fused):
-            fuse_genotype(ind.genotype, task.pool, slice(0, fused_rows), out=out)
+            fuse_genotype(ind.genotype, task.pool, out=out)
         stack = train_head(fused[:, :n], task.labels[:n], cfg)
-        heads = stack.heads()
-        if fused_rows == rows:
-            probs = stack.scores(fused[:, n:])
-        else:
-            probs = np.stack([score_rows(ind.genotype, head, task.pool, n, rows) for ind, head in zip(chunk, heads)])
+        probs = stack.scores(fused[:, n:])
         g1 = 1.0 - auprc(probs, y_val)  # AUPRC lies in (0, 1], so no clamp
         g2 = fpr(confusion(probs, y_val, DECISION_THRESHOLD))
-        for ind, head, g1_i, g2_i in zip(chunk, heads, g1.tolist(), g2.tolist()):
+        for ind, head, g1_i, g2_i in zip(chunk, stack.heads(), g1.tolist(), g2.tolist()):
             evaluate_individual(ind, head, g1_i, g2_i)
     return [ind.objectives for ind in individuals]

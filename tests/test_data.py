@@ -2,6 +2,7 @@ import hashlib
 import json
 import struct
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +143,23 @@ class TestFmat:
     def test_rejects_non_finite_on_write(self, tmp_path):
         with pytest.raises(ValueError):
             write_fmat(np.array([[np.inf]]), tmp_path / "inf.fmat")
+
+    @pytest.mark.parametrize("value", [1e39, -1e39, np.nan])
+    def test_rejects_values_beyond_float32_before_opening(self, tmp_path, value):
+        """A float64 value that the <f4 cast would turn into an infinity is
+        an error before the file is opened, and the cast never runs to warn."""
+        path = tmp_path / "big.fmat"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="beyond float32's range"):
+                write_fmat(np.array([[value, 1.0]]), path)
+        assert not path.exists()
+
+    def test_float32_extremes_round_trip(self, tmp_path):
+        top = float(np.finfo(np.float32).max)
+        m = np.array([[top, -top]])
+        write_fmat(m, tmp_path / "top.fmat")
+        assert np.array_equal(read_fmat(tmp_path / "top.fmat"), m)
 
     def test_rejects_wrong_rank(self, tmp_path):
         with pytest.raises(ValueError):

@@ -442,20 +442,26 @@ class TestPredict:
         pool = [rng.normal(size=(6, 4))]
         assert np.array_equal(predict(ind, pool), np.full(6, 0.5))
 
-    def test_reproduces_stored_objectives_on_validation(self, tmp_path):
+    def test_reproduces_stored_objectives_on_validation(self, tmp_path, monkeypatch):
+        """The search scores a stack's validation rows as one product, and
+        predict scores them in blocks: every Pareto member's stored
+        objectives are those of its predictions, with the default block,
+        which holds a task's 240 rows, and with 1 KiB blocks of 16 rows."""
         from evofusion.metrics import auprc, confusion, fpr
 
         tasks = small_benchmark(tmp_path)
         cfg = EvoConfig(population_size=8, generations=3, seed=9)
-        result = run_evolution(tasks, cfg, FAST_PROXY)
-        for task, tr in zip(tasks, result):
-            strategy = tr.strategy
-            probs = predict(strategy, task.pool)[task.n_train :]
-            y = task.labels[task.n_train :]
-            g1 = min(max(1.0 - auprc(probs, y), 0.0), 1.0)
-            g2 = fpr(confusion(probs, y, 0.5))
-            assert g1 == strategy.objectives.g1
-            assert g2 == strategy.objectives.g2
+        for block_bytes in (proxy.BLOCK_BYTES, 8 * 8 * 16):
+            monkeypatch.setattr(proxy, "BLOCK_BYTES", block_bytes)
+            result = run_evolution(tasks, cfg, FAST_PROXY)
+            for task, tr in zip(tasks, result):
+                y = task.labels[task.n_train :]
+                for member in tr.pareto:
+                    probs = predict(member, task.pool)[task.n_train :]
+                    g1 = min(max(1.0 - auprc(probs, y), 0.0), 1.0)
+                    g2 = fpr(confusion(probs, y, 0.5))
+                    assert g1 == member.objectives.g1
+                    assert g2 == member.objectives.g2
 
     def test_holdout_with_planted_feature(self, tmp_path):
         from evofusion.metrics import auprc
@@ -477,6 +483,21 @@ class TestPredict:
             predict(ind, [rng.normal(size=(6, 5))])
         with pytest.raises(ValueError, match=r"pool entry 1 has shape \(3,\)"):
             predict(ind, [rng.normal(size=(6, 4)), np.zeros(3)])
+
+    def test_empty_pool_rejected(self):
+        model = ProxyModel(np.zeros(4), 0.0, Standardizer(np.zeros(4), np.ones(4)))
+        ind = Individual(0, 0, make_genotype(0), objectives=ObjectiveVector(0.5, 0.5), proxy=model)
+        with pytest.raises(ValueError, match="genotype selects pool entry 0, pool holds 0 entries"):
+            predict(ind, [])
+
+    def test_pool_without_a_selected_entry_rejected_before_scoring(self, rng, monkeypatch):
+        model = ProxyModel(np.zeros(4), 0.0, Standardizer(np.zeros(4), np.ones(4)))
+        g = make_genotype(0, (2, "add", 1.0, 1.0))
+        ind = Individual(0, 0, g, objectives=ObjectiveVector(0.5, 0.5), proxy=model)
+        monkeypatch.setattr(driver, "score_rows", no_evaluation)
+        pool = [rng.normal(size=(6, 4)), rng.normal(size=(6, 4))]
+        with pytest.raises(ValueError, match="genotype selects pool entry 2, pool holds 2 entries"):
+            predict(ind, pool)
 
     def test_entries_of_another_shape_rejected_before_scoring(self, rng, monkeypatch):
         """Scoring takes the row count from entry 0, so a longer entry,

@@ -200,13 +200,15 @@ def test_fold_is_float64_reference_bit_for_bit(case, rows):
     assert np.isfinite(out).all()
     if len(g) > 1:
         assert np.abs(out).max() <= CLAMP_LIMIT
-    # the fold is elementwise, so folding some rows gives those rows' bits
-    part = fuse_genotype(g, pool, rows)
+    # the fold is elementwise, so folding some rows of every entry, as
+    # proxy.score_rows folds a block, gives those rows' bits
+    block = [entry[rows] for entry in pool]
+    part = fuse_genotype(g, block)
     assert part.dtype == np.float64 and part.shape == out[rows].shape
     assert part.tobytes() == out[rows].tobytes()
     # a caller's buffer takes the same bits, whatever it held before
     buffer = np.full(part.shape, np.nan)
-    assert fuse_genotype(g, pool, rows, out=buffer) is buffer
+    assert fuse_genotype(g, block, out=buffer) is buffer
     assert buffer.tobytes() == part.tobytes()
 
 

@@ -172,6 +172,16 @@ class TestEnvironmentalSelection:
             buckets[ind.id // 2].add(ind.id)
         assert all(len(b) == 1 for b in buckets), f"expected one per line, got {ids}"
 
+    def test_empty_niche_takes_its_closest_member(self):
+        """Front 0 fills the two end niches of das_dennis(2), so the middle
+        niche is the one empty niche. All three members of front 1 lie
+        nearest its line, and the one on the line wins for every rng."""
+        pairs = [(0.0, 0.8), (0.8, 0.0), (0.85, 0.95), (0.9, 0.9), (0.95, 0.85)]
+        pop = individuals(pairs)
+        for seed in range(10):
+            out = environmental_selection(pop, 3, np.random.default_rng(seed))
+            assert [ind.id for ind in out] == [0, 1, 3]
+
     def test_requires_enough_individuals(self):
         pop = individuals([(0.5, 0.5)])
         with pytest.raises(ValueError):

@@ -293,6 +293,26 @@ class TestStackFit:
             assert np.append(w[m], b[m]).tobytes() == np.append(w1, b1).tobytes()
             assert member_trace(losses, m).tobytes() == trace.tobytes()
 
+    def test_negative_curvature_is_clipped_as_the_oracle_clips_it(self):
+        """A negative 30 units out on the positive side is confidently wrong
+        once the head separates the classes: from the second step on its
+        curvature is negative (gamma 1.5), so the Newton weights the clip
+        gives are not |curvature|, and the fit must match the oracle's clip."""
+        cfg = ProxyConfig()
+        n = 40
+        y = alternating_labels(n)
+        X = np.random.default_rng(0).normal(size=(n, 2))
+        X[:, 0] += 4.0 * y
+        X[0, 0] = 30.0
+        (w,), (b,), losses = fit_focal_logistic(X[None], y, cfg)
+        w1, b1, trace = newton_fit(X, y, cfg)
+        assert np.append(w, b).tobytes() == np.append(w1, b1).tobytes()
+        assert member_trace(losses, 0).tobytes() == trace.tobytes()
+        # the fit steps on from a point where a sample curves downwards
+        (w2,), (b2,), _ = fit_focal_logistic(X[None], y, dataclasses.replace(cfg, max_iter=2))
+        assert len(losses) - 1 > 2
+        assert focal_terms(sigmoid(X @ w2 + b2), y, cfg)[2].min() < 0.0
+
     def test_members_stop_for_each_reason(self):
         """The stacks above hold members that stop below grad_tol, at
         max_iter and after running out of halvings, at different steps."""
@@ -405,21 +425,25 @@ class TestEvaluateBatchStacks:
     @staticmethod
     def alone(genotype, task, cfg):
         n, rows = task.n_train, task.labels.size
-        fused = fuse_genotype(genotype, task.pool, slice(0, n))
+        fused = fuse_genotype(genotype, [entry[:n] for entry in task.pool])
         (head,) = train_head(fused[None], task.labels[:n], cfg).heads()
         probs = score_rows(genotype, head, task.pool, n, rows)
         y_val = task.labels[n:]
         return probs, (1.0 - auprc(probs, y_val), fpr(confusion(probs, y_val, DECISION_THRESHOLD))), head
 
-    # one block: fused once and scored as a stack; many blocks: 4-row
-    # blocks through score_rows, in stacks of all members or of one
+    @staticmethod
+    def not_in_search(*args):
+        raise AssertionError("the search called a block scorer")
+
+    # the blocks vary only the reference: one block, or 4-row blocks
+    # through score_rows; the search scores every stack whole, in stacks
+    # of all members or, at the smallest BLOCK_BYTES, of one
     @pytest.mark.parametrize("blocks", ["one", "many", "many-one-head-stacks"])
     @pytest.mark.parametrize("m", range(1, 10))
     def test_members_match_scoring_alone(self, rng, monkeypatch, blocks, m):
         task = self.task(rng, m)
         cfg = ProxyConfig(max_iter=8)
-        scored, stacks = [], []
-        monkeypatch.setattr(proxy, "score_rows", lambda *args: scored.append(1) or score_rows(*args))
+        stacks = []
         # objectives depend on the ranking and the threshold alone, so the
         # probabilities that reach the metric are compared too
         monkeypatch.setattr(proxy, "auprc", lambda probs, y: stacks.append(probs) or auprc(probs, y))
@@ -429,8 +453,9 @@ class TestEvaluateBatchStacks:
             monkeypatch.setattr(proxy, "BLOCK_BYTES", 8 * 4 * self.D)
         members = [Individual(i, 0, random_genotype(rng, len(task.pool), 3)) for i in range(self.MEMBERS)]
         expected = [self.alone(ind.genotype, task, cfg) for ind in members]
+        monkeypatch.setattr(proxy, "score_rows", self.not_in_search)
+        monkeypatch.setattr(proxy, "block_rows", self.not_in_search)
         objectives = evaluate_batch(members, task, cfg)
-        assert len(scored) == (0 if blocks == "one" else self.MEMBERS)
         assert len(stacks) == (self.MEMBERS if blocks == "many-one-head-stacks" else 1)
         assert np.concatenate(stacks).tobytes() == np.stack([probs for probs, _, _ in expected]).tobytes()
         for ind, obj, (_, (g1, g2), head) in zip(members, objectives, expected):
