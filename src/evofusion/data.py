@@ -378,6 +378,9 @@ class SynthConfig:
             raise ValueError("cross_correlation must lie in [0, 1]")
         if not 0.0 < self.val_ratio < 1.0:
             raise ValueError("val_ratio must lie in (0, 1)")
+        tail_split(self.residues, self.val_ratio)
+        if int(self.positive_rate * self.residues) < 2:
+            raise ValueError("positive_rate * residues must be >= 2, a positive for each split")
         pool_size = aligned_pool_size(self.task_count)
         if self.informative is not None:
             if len(self.informative) != self.task_count:
@@ -396,8 +399,6 @@ def _draw_labels(rng: np.random.Generator, cfg: SynthConfig) -> np.ndarray:
     """Place floor(rate * L) positives uniformly, retrying until both
     split halves contain at least one positive."""
     n_pos = int(cfg.positive_rate * cfg.residues)
-    if n_pos < 1:
-        raise ValueError("positive_rate * residues must be >= 1")
     boundary = tail_split(cfg.residues, cfg.val_ratio)
     for _ in range(MAX_LABEL_RETRIES):
         positions = rng.choice(cfg.residues, size=n_pos, replace=False)

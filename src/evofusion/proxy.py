@@ -22,13 +22,10 @@ MAX_HALVINGS = 50
 
 # score_rows fuses, standardizes and scores this many bytes of float64 rows
 # at a time: the fused block, the fusion scratch and the standardized copy
-# then stay in cache. 128-512 KiB timed about the same. A block's product is
-# also far below the size at which OpenBLAS 0.3.31 splits a product over
-# threads (about 460,000 elements, measured), so its bits do not depend on
-# the thread count. The search holds one (B, L, d) chunk of fused rows, B
-# heads whose (n, d + 1) design matrices fit this many bytes: 1.2 MB against
-# 17 MB of resident pools on search-d128's config, 0.3 MB against 2.8 MB on
-# search-15task's.
+# then stay in cache. 128-512 KiB timed about the same. The search holds
+# one (B, L, d) chunk of fused rows, B heads whose (n, d + 1) design
+# matrices fit this many bytes: 1.2 MB against 17 MB of resident pools on
+# search-d128's config, 0.3 MB against 2.8 MB on search-15task's.
 BLOCK_BYTES = 256 * 1024
 
 
@@ -65,8 +62,10 @@ class ProxyModel:
 
     def scores(self, fused_rows: np.ndarray) -> np.ndarray:
         """Sigmoid probabilities for raw (unstandardized) fused rows, (m, d)
-        or, for a stack, (B, m, d); a head's bits do not depend on its stack."""
-        z = np.matmul(self.standardizer.transform(fused_rows), self.coefficients[..., None])[..., 0]
+        or, for a stack, (B, m, d). einsum sums in numpy's own loop, with no
+        BLAS call, so a row's bits depend on that row and its head alone:
+        not on its block, stack or row range, nor on the BLAS thread count."""
+        z = np.einsum("...md,...d->...m", self.standardizer.transform(fused_rows), self.coefficients)
         z += np.asarray(self.intercept)[..., None]
         return sigmoid(z)
 
@@ -237,16 +236,16 @@ def train_head(fused_train: np.ndarray, labels_train, cfg: ProxyConfig) -> Proxy
 
 
 def block_rows(d: int) -> int:
-    """Rows in one scoring block at width d: a multiple of four, since
-    OpenBLAS's matrix-vector kernels take rows in fours from the first
-    row, so the blocks of a range group its rows as one product would."""
-    return max(4, BLOCK_BYTES // (8 * max(d, 1)) // 4 * 4)
+    """Rows in one scoring block at width d: as many as BLOCK_BYTES holds
+    of float64 rows, and at least one (a zero-width head counts as d = 1)."""
+    return max(1, BLOCK_BYTES // (8 * max(d, 1)))
 
 
 def score_rows(genotype: Genotype, model: ProxyModel, pool: list, start: int, stop: int) -> np.ndarray:
     """Probabilities for rows [start, stop) of a pool, fused, standardized
-    and scored one block of ``block_rows`` rows at a time: bit for bit
-    ``model.scores`` of those rows fused as one matrix.
+    and scored one block of ``block_rows`` rows at a time. Fusion and
+    ``model.scores`` work row by row, so these are bit for bit rows
+    [start, stop) of ``model.scores`` of the whole pool fused at once.
 
     A block is ``[entry[lo:hi] for entry in pool]``, so an entry is an
     array, whose block is a view, or a ``data.FmatFile``, whose block is
@@ -254,15 +253,10 @@ def score_rows(genotype: Genotype, model: ProxyModel, pool: list, start: int, st
     or not, so a pool on disk is read and checked exactly once."""
     step = block_rows(model.coefficients.shape[0])
     probs = np.empty(stop - start)
-    lo = start
-    while lo < stop:
+    for lo in range(start, stop, step):
         hi = min(lo + step, stop)
-        if stop - hi == 1:
-            # a one-row product is a dot product, which sums in another order
-            hi = stop
         block = [entry[lo:hi] for entry in pool]
         probs[lo - start : hi - start] = model.scores(fuse_genotype(genotype, block))
-        lo = hi
     return probs
 
 
@@ -285,7 +279,8 @@ def evaluate_batch(individuals: list[Individual], task, cfg: ProxyConfig) -> lis
     matrices, and at least one, is fused once over all of the task's rows,
     trained in one ``train_head`` call and scored in one stacked call,
     whose (B, m) probabilities take one AUPRC and one FPR call. No bit
-    depends on B, and a head's scores are those of ``score_rows``.
+    depends on B, and a head's scores are bit for bit those of
+    ``score_rows`` over the validation rows, in blocks of any size.
     """
     n, rows = task.n_train, task.labels.size
     d = task.pool[0].shape[1]

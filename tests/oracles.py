@@ -3,6 +3,7 @@ plainest scalar form and independent of the code paths they check."""
 import numpy as np
 
 from evofusion import proxy
+from evofusion.fusion import CLAMP_LIMIT
 from evofusion.model import WEIGHT_MAX, WEIGHT_MIN, FusionGene, Genotype
 
 
@@ -36,6 +37,63 @@ def scalar_grg(x, y, rho: float) -> float:
     d_min = delta.min()
     zeta = (d_min + rho * d_max) / (delta + rho * d_max)
     return float(zeta.mean())
+
+
+def pr_curve_auprc(scores, labels):
+    """All-thresholds oracle: step-integrate precision over recall at
+    every distinct score threshold (descending)."""
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels)
+    n_pos = labels.sum()
+    ap = 0.0
+    prev_recall = 0.0
+    for thr in sorted(set(scores), reverse=True):
+        pred = scores >= thr
+        tp = int((pred & (labels == 1)).sum())
+        fp = int((pred & (labels == 0)).sum())
+        precision = tp / (tp + fp)
+        recall = tp / n_pos
+        ap += (recall - prev_recall) * precision
+        prev_recall = recall
+    return ap
+
+
+def fusion_step(acc, nxt, op, w_c, w_f):
+    """One fusion step, op(w_c * acc, w_f * nxt) clamped to
+    +-CLAMP_LIMIT, elementwise in float64."""
+    a = w_c * np.asarray(acc, dtype=np.float64)
+    f = w_f * np.asarray(nxt, dtype=np.float64)
+    out = {
+        "add": a + f,
+        "mul": a * f,
+        "max": np.maximum(a, f),
+        "min": np.minimum(a, f),
+        "diff": a - f,
+        "avg": (a + f) / 2.0,
+    }[op]
+    return np.clip(out, -CLAMP_LIMIT, CLAMP_LIMIT)
+
+
+def fusion_fold(g, pool):
+    """A genotype's fusion, one ``fusion_step`` per gene after the first."""
+    acc = np.asarray(pool[g.genes[0].pool_index], dtype=np.float64)
+    for gene in g.genes[1:]:
+        acc = fusion_step(acc, pool[gene.pool_index], gene.op, gene.w_c, gene.w_f)
+    return acc
+
+
+def fd_gradient(w, b, X, y, cfg, h=1e-6):
+    """Central finite differences of ``proxy.focal_logistic_loss_and_grad``'s
+    loss in w and b."""
+    loss = lambda wv, bv: proxy.focal_logistic_loss_and_grad(wv, bv, X, y, cfg)[0]
+    grad_w = np.zeros_like(w)
+    for i in range(w.size):
+        up, down = w.copy(), w.copy()
+        up[i] += h
+        down[i] -= h
+        grad_w[i] = (loss(up, b) - loss(down, b)) / (2 * h)
+    grad_b = (loss(w, b + h) - loss(w, b - h)) / (2 * h)
+    return grad_w, grad_b
 
 
 def masked_sigmoid(z):

@@ -2,9 +2,9 @@
 PASS/FAIL line (run with ``pytest tests/test_acceptance.py -v -s``).
 
 Every expected value is either a hand-derived constant or recomputed by
-an in-test oracle that is independent of the library code path it
-checks. The evolutionary criteria (7-9) run on seeded synthetic
-benchmarks and are fully deterministic.
+an oracle (below or in ``oracles.py``) that is independent of the
+library code path it checks. The evolutionary criteria (7-9) run on
+seeded synthetic benchmarks and are fully deterministic.
 """
 import hashlib
 import json
@@ -27,7 +27,7 @@ from evofusion.data import (
     write_fmat,
 )
 from evofusion.driver import run_evolution
-from evofusion.fusion import CLAMP_LIMIT, fuse_genotype
+from evofusion.fusion import fuse_genotype
 from evofusion.metrics import ConfusionCounts, auprc, mcc
 from evofusion.model import random_genotype
 from evofusion.neighborhood import grg
@@ -35,6 +35,8 @@ from evofusion.nsga3 import das_dennis, nondominated_sort
 from evofusion.operators import EvoConfig
 from evofusion.proxy import ProxyConfig, focal_logistic_loss_and_grad, focal_terms
 from evofusion.model import Genotype
+
+from oracles import fd_gradient, fusion_fold, pr_curve_auprc
 
 
 @contextmanager
@@ -68,51 +70,11 @@ def peel_fronts_oracle(objs: np.ndarray):
     return fronts
 
 
-def pr_curve_oracle(scores, labels):
-    """Step-integrated PR curve over every distinct threshold."""
-    n_pos = labels.sum()
-    ap = 0.0
-    prev_recall = 0.0
-    for thr in sorted(set(scores.tolist()), reverse=True):
-        pred = scores >= thr
-        tp = int((pred & (labels == 1)).sum())
-        fp = int((pred & (labels == 0)).sum())
-        ap += (tp / n_pos - prev_recall) * (tp / (tp + fp))
-        prev_recall = tp / n_pos
-    return ap
-
-
 def mcc_formula_oracle(tp, tn, fp, fn):
     den = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
     if den == 0:
         return 0.0
     return (tp * tn - fp * fn) / math.sqrt(den)
-
-
-def manual_fuse_step(acc, nxt, op, w_c, w_f):
-    a = w_c * np.asarray(acc, dtype=np.float64)
-    f = w_f * np.asarray(nxt, dtype=np.float64)
-    out = {
-        "add": a + f,
-        "mul": a * f,
-        "max": np.maximum(a, f),
-        "min": np.minimum(a, f),
-        "diff": a - f,
-        "avg": (a + f) / 2.0,
-    }[op]
-    return np.clip(out, -CLAMP_LIMIT, CLAMP_LIMIT)
-
-
-def fd_gradient(w, b, X, y, cfg, h=1e-6):
-    loss = lambda wv, bv: focal_logistic_loss_and_grad(wv, bv, X, y, cfg)[0]
-    grad_w = np.zeros_like(w)
-    for i in range(w.size):
-        up, down = w.copy(), w.copy()
-        up[i] += h
-        down[i] -= h
-        grad_w[i] = (loss(up, b) - loss(down, b)) / (2 * h)
-    grad_b = (loss(w, b + h) - loss(w, b - h)) / (2 * h)
-    return grad_w, grad_b
 
 
 # --------------------------------------------------------------- criteria
@@ -168,7 +130,7 @@ def test_criterion_04_metric_oracles():
             scores = rng.random(n)  # continuous, ties have measure zero
             labels = rng.integers(0, 2, n)
             labels[int(rng.integers(n))] = 1
-            assert abs(auprc(scores, labels) - pr_curve_oracle(scores, labels)) < 1e-9
+            assert abs(auprc(scores, labels) - pr_curve_auprc(scores, labels)) < 1e-9
         for _ in range(500):
             tp, tn, fp, fn = (int(v) for v in rng.integers(0, 40, 4))
             assert mcc(ConfusionCounts(tp, tn, fp, fn)) == pytest.approx(
@@ -208,10 +170,7 @@ def test_criterion_06_fusion_oracle():
         for _ in range(100):
             pool = [rng.uniform(-10, 10, size=(6, 5)) for _ in range(9)]
             g = random_genotype(rng, 9, 9)
-            expected = np.asarray(pool[g.genes[0].pool_index], dtype=np.float64)
-            for gene in g.genes[1:]:
-                expected = manual_fuse_step(expected, pool[gene.pool_index], gene.op, gene.w_c, gene.w_f)
-            assert np.array_equal(fuse_genotype(g, pool), expected)
+            assert np.array_equal(fuse_genotype(g, pool), fusion_fold(g, pool))
 
 
 def test_criterion_07_synthetic_convergence(tmp_path):

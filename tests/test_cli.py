@@ -149,6 +149,20 @@ class TestGen:
         assert err.count("\n") == 1 and f"config section {section!r}" in err
         assert all(key in err for key in overrides)
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [({"residues": 10, "positive_rate": 0.05}, "positive_rate"),
+         ({"residues": 30, "positive_rate": 0.05}, "positive_rate"),
+         ({"residues": 40, "val_ratio": 0.99}, "val_ratio")],
+        ids=["no-positive", "one-positive", "empty-split"],
+    )
+    def test_unworkable_shape_creates_no_directory(self, tmp_path, overrides, key):
+        cfg = write_config(tmp_path / "shape.json", synthetic=overrides)
+        code, err = run_cli("gen", "--config", cfg, "--out", tmp_path / "x")
+        assert code == 2
+        assert err.count("\n") == 1 and key in err
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_top_level_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"evo": {}}))

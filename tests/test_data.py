@@ -339,6 +339,17 @@ class TestGenerator:
             assert task.labels[: task.n_train].any()
             assert task.labels[task.n_train :].any()
 
+    # floor(rate * L) of 0 and of 1: the splits need a positive each
+    @pytest.mark.parametrize("residues, rate", [(10, 0.05), (30, 0.05)], ids=["no-positive", "one-positive"])
+    def test_fewer_than_two_positives_are_rejected(self, residues, rate):
+        with pytest.raises(ValueError, match=r"positive_rate \* residues must be >= 2"):
+            SynthConfig(task_count=2, residues=residues, feature_dim=4, positive_rate=rate)
+        assert SynthConfig(residues=24, positive_rate=0.1).residues == 24
+
+    def test_val_ratio_that_empties_a_split_is_rejected(self):
+        with pytest.raises(ValueError, match="leaves an empty split"):
+            SynthConfig(residues=40, positive_rate=0.1, val_ratio=0.99)
+
     def test_manifest_contents(self, tmp_path):
         cfg = SynthConfig(task_count=3, residues=80, feature_dim=8, positive_rate=0.1, seed=2)
         out = tmp_path / "bench"

@@ -8,41 +8,16 @@ from evofusion.fusion import CLAMP_LIMIT, fit_standardizer, fuse_genotype
 from evofusion.model import OPERATORS, WEIGHT_MAX, WEIGHT_MIN, random_genotype
 
 from conftest import make_genotype
+from oracles import fusion_fold, fusion_step
 
 
 F32_MAX = float(np.finfo(np.float32).max)
-
-
-def manual_combine(a, f, op, w_c, w_f):
-    """Independent elementwise oracle for one fusion step, before the clamp."""
-    a = w_c * np.asarray(a, dtype=np.float64)
-    f = w_f * np.asarray(f, dtype=np.float64)
-    return {
-        "add": a + f,
-        "mul": a * f,
-        "max": np.maximum(a, f),
-        "min": np.minimum(a, f),
-        "diff": a - f,
-        "avg": (a + f) / 2.0,
-    }[op]
-
-
-def manual_step(a, f, op, w_c, w_f):
-    return np.clip(manual_combine(a, f, op, w_c, w_f), -CLAMP_LIMIT, CLAMP_LIMIT)
 
 
 def fold_pair(acc, nxt, op, w_c, w_f):
     """One fusion step, op(w_c * acc, w_f * nxt) clamped, through the
     library: the fold of a two-gene genotype over the pool [acc, nxt]."""
     return fuse_genotype(make_genotype(0, (1, op, w_c, w_f)), [acc, nxt])
-
-
-def reference_fold(g, pool):
-    """Step-by-step float64 oracle for ``fuse_genotype``."""
-    acc = np.asarray(pool[g.genes[0].pool_index], dtype=np.float64)
-    for gene in g.genes[1:]:
-        acc = manual_step(acc, pool[gene.pool_index], gene.op, gene.w_c, gene.w_f)
-    return acc
 
 
 @st.composite
@@ -138,7 +113,7 @@ class TestFuseStep:
             f = rng.uniform(-10, 10, size=(4, 5))
             w_c, w_f = rng.uniform(0.1, 2.0, size=2)
             for op in OPERATORS:
-                assert np.array_equal(fold_pair(a, f, op, w_c, w_f), manual_step(a, f, op, w_c, w_f))
+                assert np.array_equal(fold_pair(a, f, op, w_c, w_f), fusion_step(a, f, op, w_c, w_f))
 
     def test_clamp(self):
         big = np.full((2, 2), 1e5)
@@ -169,11 +144,8 @@ class TestFuseGenotype:
         for _ in range(100):
             pool = [rng.uniform(-10, 10, size=(5, 4)) for _ in range(9)]
             g = random_genotype(rng, 9, 9)
-            expected = np.asarray(pool[g.genes[0].pool_index], dtype=np.float64)
-            for gene in g.genes[1:]:
-                expected = manual_step(expected, pool[gene.pool_index], gene.op, gene.w_c, gene.w_f)
             out = fuse_genotype(g, pool)
-            assert np.array_equal(out, expected)
+            assert np.array_equal(out, fusion_fold(g, pool))
             assert out.shape == (5, 4)
             assert not np.isnan(out).any()
 
@@ -193,7 +165,7 @@ class TestFuseGenotype:
 @given(case=genotypes_over_mixed_pools(), rows=st.slices(4))
 def test_fold_is_float64_reference_bit_for_bit(case, rows):
     g, pool = case
-    expected = reference_fold(g, pool)
+    expected = fusion_fold(g, pool)
     out = fuse_genotype(g, pool)
     assert out.dtype == np.float64
     assert out.tobytes() == expected.tobytes()

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from evofusion.metrics import ConfusionCounts, auprc, confusion, fpr, mcc, supplementary_metrics
 
+from oracles import pr_curve_auprc
+
 
 def loop_confusion(scores, labels, thr):
     tp = tn = fp = fn = 0
@@ -22,25 +24,6 @@ def loop_confusion(scores, labels, thr):
             else:
                 tn += 1
     return ConfusionCounts(tp, tn, fp, fn)
-
-
-def pr_curve_auprc(scores, labels):
-    """All-thresholds oracle: step-integrate precision over recall at
-    every distinct score threshold (descending)."""
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels)
-    n_pos = labels.sum()
-    ap = 0.0
-    prev_recall = 0.0
-    for thr in sorted(set(scores), reverse=True):
-        pred = scores >= thr
-        tp = int((pred & (labels == 1)).sum())
-        fp = int((pred & (labels == 0)).sum())
-        precision = tp / (tp + fp)
-        recall = tp / n_pos
-        ap += (recall - prev_recall) * precision
-        prev_recall = recall
-    return ap
 
 
 class TestConfusion:

@@ -24,20 +24,7 @@ from evofusion.proxy import (
 )
 
 from conftest import make_genotype
-from oracles import masked_sigmoid, newton_fit
-
-
-def fd_gradient(w, b, X, y, cfg, h=1e-6):
-    """Central finite differences of the training loss."""
-    loss = lambda wv, bv: focal_logistic_loss_and_grad(wv, bv, X, y, cfg)[0]
-    grad_w = np.zeros_like(w)
-    for i in range(w.size):
-        up, down = w.copy(), w.copy()
-        up[i] += h
-        down[i] -= h
-        grad_w[i] = (loss(up, b) - loss(down, b)) / (2 * h)
-    grad_b = (loss(w, b + h) - loss(w, b - h)) / (2 * h)
-    return grad_w, grad_b
+from oracles import fd_gradient, masked_sigmoid, newton_fit
 
 
 def two_class_labels(rng, n):
@@ -408,8 +395,7 @@ class TestEvaluateIndividual:
 class TestEvaluateBatchStacks:
     """A chunk's heads are scored as one stack: every member's objectives
     and head have the bits of training it alone and scoring it with
-    score_rows, auprc and fpr(confusion(...)). Validation rows 1-9 include
-    the one-row case, whose product is a dot product."""
+    score_rows, auprc and fpr(confusion(...)), for 1-9 validation rows."""
 
     N_TRAIN, D, MEMBERS = 24, 12, 7
 
@@ -435,9 +421,9 @@ class TestEvaluateBatchStacks:
     def not_in_search(*args):
         raise AssertionError("the search called a block scorer")
 
-    # the blocks vary only the reference: one block, or 4-row blocks
+    # the blocks vary only the reference: one block, or 3- or 4-row blocks
     # through score_rows; the search scores every stack whole, in stacks
-    # of all members or, at the smallest BLOCK_BYTES, of one
+    # of all members or, at 4 rows' worth of BLOCK_BYTES, of one
     @pytest.mark.parametrize("blocks", ["one", "many", "many-one-head-stacks"])
     @pytest.mark.parametrize("m", range(1, 10))
     def test_members_match_scoring_alone(self, rng, monkeypatch, blocks, m):
@@ -448,7 +434,7 @@ class TestEvaluateBatchStacks:
         # probabilities that reach the metric are compared too
         monkeypatch.setattr(proxy, "auprc", lambda probs, y: stacks.append(probs) or auprc(probs, y))
         if blocks == "many":
-            monkeypatch.setattr(proxy, "block_rows", lambda d: 4)
+            monkeypatch.setattr(proxy, "block_rows", lambda d: 3)
         elif blocks == "many-one-head-stacks":
             monkeypatch.setattr(proxy, "BLOCK_BYTES", 8 * 4 * self.D)
         members = [Individual(i, 0, random_genotype(rng, len(task.pool), 3)) for i in range(self.MEMBERS)]
@@ -469,39 +455,40 @@ class TestEvaluateBatchStacks:
             assert got.standardizer.stds.tobytes() == head.standardizer.stds.tobytes()
 
 
+class TestEvaluateBatchStacksD128(TestEvaluateBatchStacks):
+    """The same checks at d = 128."""
+
+    D = 128
+
+
 class TestScoreRows:
-    """The block scorer against one product over the same rows. A product
-    takes its rows in fours from its first row, and a one-row product is
-    a dot product, so it also matches the scores of the whole pool on any
-    range of two or more rows that starts at a multiple of four."""
+    """The block scorer against the scores of the whole pool: every row is
+    scored by itself, so any range in blocks of any size has the bits of
+    those rows of one product over all rows."""
 
-    L, D = 37, 8
+    L = 37
 
-    @pytest.fixture
-    def case(self, rng):
-        pool = [rng.normal(size=(self.L, self.D)).astype(np.float32) for _ in range(3)]
+    def case(self, rng, d):
+        pool = [rng.normal(size=(self.L, d)).astype(np.float32) for _ in range(3)]
         g = make_genotype(2, (0, "mul", 1.3, 0.7), (1, "avg", 0.4, 1.9))
         fused = fuse_genotype(g, pool)
         (model,) = train_head(fused[None, :20], two_class_labels(rng, 20), ProxyConfig(max_iter=30)).heads()
-        return g, model, pool, fused
+        return g, model, pool, model.scores(fused)
 
-    # 4 and 8 rows a block; 10 rows round down to 8
-    @pytest.mark.parametrize("block", [4, 8, 10])
-    def test_bit_identical_to_one_product(self, case, monkeypatch, block):
-        g, model, pool, fused = case
-        monkeypatch.setattr(proxy, "BLOCK_BYTES", 8 * self.D * block)
-        whole = model.scores(fused)
-        # starts on and off block boundaries; row counts the block size does
-        # not divide, among them a one-row tail
-        for start in range(self.L):
-            for stop in range(start, self.L + 1):
-                got = score_rows(g, model, pool, start, stop)
-                assert got.tobytes() == model.scores(fused[start:stop]).tobytes()
-                if start % 4 == 0 and stop - start != 1:
-                    assert got.tobytes() == whole[start:stop].tobytes()
+    @pytest.mark.parametrize("block", [1, 3, 4, 5, 8, 10])
+    def test_bit_identical_to_one_product(self, rng, monkeypatch, block):
+        for d in (8, 128):
+            g, model, pool, whole = self.case(rng, d)
+            monkeypatch.setattr(proxy, "BLOCK_BYTES", 8 * d * block)
+            assert proxy.block_rows(d) == block
+            # starts on and off block boundaries, and row counts the block
+            # size does not divide
+            for start in range(self.L):
+                for stop in range(start, self.L + 1):
+                    assert score_rows(g, model, pool, start, stop).tobytes() == whole[start:stop].tobytes()
 
-    def test_block_rows_are_multiples_of_four(self, monkeypatch):
+    def test_block_rows_fill_block_bytes(self, monkeypatch):
         assert proxy.block_rows(64) == 512
-        assert proxy.block_rows(6) == 5460
+        assert proxy.block_rows(6) == 5461
         monkeypatch.setattr(proxy, "BLOCK_BYTES", 8)
-        assert proxy.block_rows(128) == 4
+        assert proxy.block_rows(128) == 1
